@@ -57,10 +57,10 @@ class RunConfig:
     experiment_id: str | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least dt")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
+        if not (np.isfinite(self.t_end) and self.t_end >= self.dt):
+            raise ValueError("t_end must be finite and at least dt")
 
 
 def _config_from_args(args) -> RunConfig:

@@ -2,8 +2,9 @@
 fixed-step trajectory integration.
 
 The node equation is theta_dot_i = omega_i + sum_j (Ktilde_ij / N)
-sin(theta_j - theta_i), evaluated in vector form as
-omega - B K sin(B^T theta) with K = diag(gains)/N. Edge coordinates are
+sin(theta_j - theta_i), in vector form omega - B K sin(B^T theta) with
+K = diag(gains)/N. It is evaluated in O(N^2) as omega + c * (W s) - s * (W c)
+with W = Ktilde/N and s, c = sin, cos(theta - theta_1). Edge coordinates are
 X = B^T theta (phase differences) and V = B^T theta_dot (frequency
 differences); in these coordinates the flow is Xdot = V,
 Vdot = G(X) V with G(X) = -B^T B K diag(cos X).
@@ -63,8 +64,10 @@ class EdgeState:
 def theta_dot(theta, net: OscillatorNetwork) -> np.ndarray:
     """Instantaneous node frequencies omega - B K sin(B^T theta).
 
-    ``theta`` may be a single state of shape (N,) or a batch of states of
-    shape (N, m); the result has the same shape.
+    Evaluated in O(N^2) as omega + c * (W s) - s * (W c), W = Ktilde/N,
+    s, c = sin, cos(theta - theta_1); rotating by theta_1 makes identical
+    phases give omega exactly. ``theta`` may be a single state of shape (N,)
+    or a batch of states of shape (N, m); the result has the same shape.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape[0] != net.n_oscillators:
@@ -72,11 +75,14 @@ def theta_dot(theta, net: OscillatorNetwork) -> np.ndarray:
             f"theta has leading dimension {theta.shape[0]}, "
             f"expected {net.n_oscillators}"
         )
-    s = np.sin(net._b.T @ theta)
+    d = theta - theta[0]
+    s, c = np.sin(d), np.cos(d)
+    # in place and ndarray.dot: at small N the per-call overhead dominates
+    out = c * net._w.dot(s)
+    out -= s * net._w.dot(c)
     omega = net.natural_frequencies
-    if theta.ndim == 1:
-        return omega - net._b @ (net._k_diag * s)
-    return omega[:, None] - net._b @ (net._k_diag[:, None] * s)
+    out += omega if theta.ndim == 1 else omega[:, None]
+    return out
 
 
 def edge_transform(theta, theta_dot_vec, b) -> EdgeState:
@@ -143,8 +149,8 @@ def _validate_grid(theta0, net, t_end, dt):
     return theta0, max(n_steps, 1)
 
 
-def _rk4_step(f, y, dt):
-    k1 = f(y)
+def _rk4_step(f, y, dt, k1):
+    """One classical RK4 step; ``k1`` is f(y), already known to the caller."""
     k2 = f(y + 0.5 * dt * k1)
     k3 = f(y + 0.5 * dt * k2)
     k4 = f(y + dt * k3)
@@ -220,7 +226,7 @@ def simulate_many(
 
     last = n_steps
     for k in range(1, n_steps + 1):
-        theta = _rk4_step(f, theta, dt)
+        theta = _rk4_step(f, theta, dt, dots[k - 1])
         if not np.all(np.isfinite(theta)):
             raise DivergenceError(step=k, time=k * dt)
         thetas[k] = theta

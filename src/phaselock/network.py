@@ -5,12 +5,13 @@ lexicographic order (1,2), (1,3), ..., (1,N), (2,3), ..., (N-1,N); a zero
 coupling gain marks an absent edge, so a single gain vector describes any
 interconnection topology. The oriented incidence matrix puts +1 on the
 lower-indexed vertex of each edge, which fixes the sign convention for all
-edge-space quantities downstream.
+edge-space quantities downstream; the matrix is built on first use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +84,6 @@ class OscillatorNetwork:
     n_oscillators: int
     natural_frequencies: np.ndarray
     coupling_gains: np.ndarray
-    incidence: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.n_oscillators
@@ -104,10 +104,19 @@ class OscillatorNetwork:
         object.__setattr__(self, "n_oscillators", int(n))
         object.__setattr__(self, "natural_frequencies", _freeze(omega))
         object.__setattr__(self, "coupling_gains", _freeze(gains))
-        object.__setattr__(self, "incidence", _freeze(incidence_matrix(int(n))))
-        # float copies cached for the integrator hot path
-        object.__setattr__(self, "_b", _freeze(self.incidence.astype(float)))
         object.__setattr__(self, "_k_diag", _freeze(gains / n))
+        w = np.zeros((n, n))
+        w[np.triu_indices(n, 1)] = self._k_diag  # row-major upper triangle = edge order
+        object.__setattr__(self, "_w", _freeze(w + w.T))
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Oriented complete-graph incidence matrix, built on first use."""
+        return _freeze(incidence_matrix(self.n_oscillators))
+
+    @cached_property
+    def _b(self) -> np.ndarray:
+        return _freeze(self.incidence.astype(float))
 
     @property
     def n_edges(self) -> int:
@@ -130,6 +139,11 @@ class OscillatorNetwork:
             and np.array_equal(self.natural_frequencies, other.natural_frequencies)
             and np.array_equal(self.coupling_gains, other.coupling_gains)
         )
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, which __eq__ counts as equal
+        arrays = (self.natural_frequencies + 0.0, self.coupling_gains + 0.0)
+        return hash((self.n_oscillators, *(a.tobytes() for a in arrays)))
 
 
 def is_connected(net: OscillatorNetwork) -> bool:

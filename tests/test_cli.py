@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from phaselock import OscillatorNetwork, write_network
-from phaselock.cli import main
+from phaselock.cli import RunConfig, main
 
 
 @pytest.fixture
@@ -283,3 +283,18 @@ def test_bad_step_configuration_is_an_error(chain_file, tmp_path, capsys):
     )
     assert code == 1
     assert "dt must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_end,dt", [(1.0, float("nan")), (float("nan"), 0.01),
+                                      (float("inf"), 0.01), (1.0, float("inf"))])
+def test_run_config_rejects_non_finite_steps(t_end, dt):
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig("simulate", "net.json", t_end=t_end, dt=dt, seed=0, output_dir=".")
+
+
+def test_non_finite_step_is_an_error(chain_file, tmp_path, capsys):
+    argv = ["simulate", "--network", str(chain_file), "--dt", "nan", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not (tmp_path / "trajectory.csv").exists()

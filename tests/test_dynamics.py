@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import phaselock.dynamics
 from phaselock import (
     OscillatorNetwork,
+    edge_index,
     edge_transform,
     g_matrix,
     incidence_matrix,
@@ -69,6 +74,38 @@ def test_theta_dot_matches_componentwise_sum(n):
         theta = rng.uniform(-np.pi, np.pi, n)
         expected = componentwise_rate(theta, net.natural_frequencies, gain_of)
         assert np.max(np.abs(theta_dot(theta, net) - expected)) < 1e-12
+
+
+@st.composite
+def field_cases(draw):
+    """A network with some zero gains, phases (single or batched) and a shift."""
+    n = draw(st.integers(2, 12))
+    omega = draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    gain = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+    gains = draw(arrays(float, n * (n - 1) // 2, elements=gain))
+    shape = draw(st.sampled_from([(n,), (n, 1), (n, 3)]))
+    theta = draw(arrays(float, shape, elements=st.floats(-2 * np.pi, 2 * np.pi)))
+    shift = draw(st.floats(-10.0, 10.0))
+    return OscillatorNetwork(n, omega, gains), theta, shift
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_cases())
+def test_theta_dot_matches_incidence_form(case):
+    net, theta, shift = case
+    n, omega, gains = net.n_oscillators, net.natural_frequencies, net.coupling_gains
+    b = incidence_matrix(n).astype(float)
+    columns = theta.reshape(n, -1)
+    expected = omega[:, None] - b @ (gains[:, None] / n * np.sin(b.T @ columns))
+    expected = expected.reshape(theta.shape)
+    tol = 1e-12 * (1.0 + np.max(np.abs(omega)) + np.sum(gains) / n)
+    got = theta_dot(theta, net)
+    assert got.shape == theta.shape
+    assert np.max(np.abs(got - expected)) <= tol
+    assert np.max(np.abs(theta_dot(theta + shift, net) - got)) <= tol
+    # identical phases give omega exactly, whatever the common phase
+    same = theta_dot(np.full(theta.shape, shift), net)
+    assert np.all(same.reshape(n, -1) == omega[:, None])
 
 
 def test_theta_dot_dimension_mismatch():
@@ -207,6 +244,36 @@ def test_simulate_rejects_bad_inputs():
         simulate(net, [0.0, 0.0], 1.0, -0.01)
     with pytest.raises(ValueError):
         simulate(net, [0.0, 0.0], 0.001, 0.01)
+
+
+def test_integration_reuses_the_stored_field_as_k1(monkeypatch):
+    net = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
+    calls = []
+    field = phaselock.dynamics.theta_dot
+
+    def counting(theta, net):
+        calls.append(1)
+        return field(theta, net)
+
+    monkeypatch.setattr(phaselock.dynamics, "theta_dot", counting)
+    traj = simulate(net, [0.2, 0.3, -0.1], 0.1, 0.01)
+    # one evaluation at the start, then four per RK4 step
+    assert traj.n_steps == 10 and len(calls) == 1 + 4 * 10
+
+
+def test_simulation_leaves_the_incidence_unbuilt():
+    n = 200
+    gains = np.zeros(n * (n - 1) // 2)
+    for i in range(n):
+        gains[edge_index(n, *sorted((i, (i + 1) % n)))] = 1.0
+    net = OscillatorNetwork(n, np.linspace(-0.5, 0.5, n), gains)
+    theta0 = np.linspace(-0.3, 0.3, n)
+    simulate(net, theta0, 0.05, 0.01)
+    simulate_many(net, np.column_stack([theta0, -theta0]), 0.05, 0.01)
+    assert "incidence" not in net.__dict__ and "_b" not in net.__dict__
+    b = net.incidence
+    assert np.array_equal(b, incidence_matrix(n))
+    assert b.dtype == np.int64 and not b.flags.writeable
 
 
 def test_simulate_many_matches_single_runs():

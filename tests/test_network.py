@@ -138,3 +138,15 @@ def test_network_equality_and_immutability():
     assert a == b and a != c
     with pytest.raises(ValueError):
         a.coupling_gains[0] = 5.0
+
+
+def test_equal_networks_hash_equal():
+    a = OscillatorNetwork(3, [1.0, 0.0, 3.0], [9.0, 6.0, 0.0])
+    b = OscillatorNetwork(3, np.array([1.0, 0.0, 3.0]), np.array([9.0, 6.0, 0.0]))
+    # -0.0 compares equal to 0.0, so it must hash equal too
+    c = OscillatorNetwork(3, [1.0, -0.0, 3.0], [9.0, 6.0, -0.0])
+    d = OscillatorNetwork(3, [1.0, 0.0, 3.0], [9.0, 6.0, 1.0])
+    assert a == b == c and a != d
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c, d}) == 2
+    assert {a: "x"}[c] == "x"
