@@ -4,11 +4,11 @@ networks of any size.
 
 Phase-locked states solve B^T omega - B^T B K sin(X) = 0 on the column
 space of B^T. Linearizing the edge-space flow about (X*, 0) gives the
-block matrix A = [[0, I], [0, G(X*)]]; its spectrum splits into e
-structural zeros plus the spectrum of G(X*), and the dynamics proper live
-on the 2(N-1)-dimensional column-space slice, so classification counts
-zero eigenvalues and asks the remaining ones to sit strictly in the left
-half plane.
+block matrix A = [[0, I], [0, G(X*)]], G = -B^T B K diag(cos X*), whose
+spectrum is 2e - (N-1) structural zeros plus the spectrum of -L(X*) on the
+complement of the ones vector, L(X) = B K diag(cos X) B^T being the N x N
+weighted graph Laplacian. Classification, the Newton solve and the
+nontangency rank test work with L, so they form no e x e matrix.
 
 The invariant set H is the open box |x_i| < pi/2 intersected with the
 column space, with frequency differences slaved to the phases through the
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import EdgeState, Trajectory, simulate_many
+from .dynamics import EdgeState, Trajectory, g_matrix, simulate_many, theta_dot
 from .errors import (
     NoEquilibriumError,
     SamplingInfeasibleError,
@@ -64,7 +64,36 @@ RANK_TOL = 1e-10  # relative singular-value cutoff for rank decisions
 
 def _edge_frequency_mismatch(net: OscillatorNetwork) -> np.ndarray:
     """Per-edge |omega_i - omega_j| in edge order, i.e. |B^T omega|."""
-    return np.abs(net._b.T @ net.natural_frequencies)
+    i, j = net._ends
+    omega = net.natural_frequencies
+    return np.abs(omega[i] - omega[j])
+
+
+def _laplacian(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
+    """Weighted Laplacian B diag(w) B^T from edge weights w (edge index last)."""
+    n = net.n_oscillators
+    lap = np.zeros(w.shape[:-1] + (n, n))
+    lap[(..., *net._ends)] = -w
+    lap += np.swapaxes(lap, -1, -2)
+    lap[..., np.arange(n), np.arange(n)] = -lap.sum(axis=-1)
+    return lap
+
+
+def _restricted_spectrum(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of L(w) on the complement of the ones vector,
+    in the basis of a Householder reflector taking e_N to ones/sqrt(N)."""
+    n = net.n_oscillators
+    u = np.eye(n)[-1] - 1.0 / np.sqrt(n)
+    v = np.eye(n, n - 1) - (2.0 / (u @ u)) * np.outer(u, u[:-1])
+    return np.linalg.eigvalsh(v.T @ _laplacian(net, w) @ v)
+
+
+def _neighbor_sum(net: OscillatorNetwork, c: np.ndarray) -> np.ndarray:
+    """Per edge (i, j), the sum of c over the other edges at i or j:
+    s_i + s_j - 2 c_ij with s the node strength of c (edge index last)."""
+    i, j = net._ends
+    s = np.diagonal(_laplacian(net, c), axis1=-2, axis2=-1)
+    return s[..., i] + s[..., j] - 2.0 * c
 
 
 def sync_frequency(net: OscillatorNetwork) -> float:
@@ -92,9 +121,7 @@ def onset_lower_bounds(net: OscillatorNetwork) -> np.ndarray:
     + (1/N) sum_{j != i} |(B^T B)_{ij}| Ktilde_j for Ktilde_i, clipped at 0.
     """
     n = net.n_oscillators
-    off = np.abs(net.incidence.T @ net.incidence).astype(float)
-    np.fill_diagonal(off, 0.0)
-    neighbor = off @ net.coupling_gains
+    neighbor = _neighbor_sum(net, net.coupling_gains)
     return np.maximum(0.0, 0.5 * (n * _edge_frequency_mismatch(net) - neighbor))
 
 
@@ -169,12 +196,14 @@ def solve_equilibrium(
     """Newton-solve B^T omega - B^T B K sin(B^T theta) = 0 for the edge
     phase differences X* = B^T theta*.
 
-    The last node phase is pinned to zero, which removes the common-rotation
-    nullspace; the Newton step solves the consistent overdetermined edge
-    system in the least-squares sense. Raises SingularJacobianError when the
-    Jacobian drops rank (a cos(x_i) = 0 crossing) and NoEquilibriumError
-    when the residual does not reach ``tol`` within ``max_iter`` iterations,
-    which typically means the gains are below critical.
+    Newton runs on the node field f = omega - B K sin(B^T theta), whose edge
+    residual B^T f has max norm ptp(f). The last node phase is pinned to
+    zero, which removes the common-rotation nullspace; the step solves
+    L(X)[:, :-1] step = f - mean(f) in the least-squares sense, which is the
+    least-squares step of the edge system. Raises SingularJacobianError when the Jacobian drops rank (a
+    cos(x_i) = 0 crossing) and NoEquilibriumError when the residual does not
+    reach ``tol`` within ``max_iter`` iterations, which typically means the
+    gains are below critical.
     """
     n = net.n_oscillators
     if theta_guess is None:
@@ -189,26 +218,25 @@ def solve_equilibrium(
             raise ValueError("theta_guess must have phase spread below pi")
     theta = theta - theta[-1]  # pin the last phase to zero
 
-    b = net._b
-    btb = b.T @ b
-    bw = b.T @ net.natural_frequencies
-    cols = b.T[:, :-1]  # derivatives with respect to theta_1..theta_{N-1}
+    i, j = net._ends
+    scale = max(1.0, float(np.max(net.coupling_gains)))
 
     for _ in range(max_iter):
-        x = b.T @ theta
-        g = bw - btb @ (net._k_diag * np.sin(x))
-        if np.max(np.abs(g)) < tol:
+        x = theta[i] - theta[j]
+        f = theta_dot(theta, net)
+        if f.max() - f.min() < tol:
             return x
-        jac = -(btb * (net._k_diag * np.cos(x))[None, :]) @ cols
-        sv = np.linalg.svd(jac, compute_uv=False)
-        scale = max(1.0, float(np.max(net.coupling_gains)))
-        if sv[0] < 1e-12 * scale or sv[-1] < RANK_TOL * sv[0]:
+        # sqrt(N) sv are the singular values of the edge Jacobian
+        # -B^T B K diag(cos X) B^T[:, :-1]
+        u, sv, vt = np.linalg.svd(
+            _laplacian(net, net._k_diag * np.cos(x))[:, :-1], full_matrices=False
+        )
+        if np.sqrt(n) * sv[0] < 1e-12 * scale or sv[-1] < RANK_TOL * sv[0]:
             raise SingularJacobianError(
                 "Jacobian rank-deficient at iterate; equilibrium near a "
                 "cos(x_i) = 0 crossing"
             )
-        step, *_ = np.linalg.lstsq(jac, -g, rcond=None)
-        theta[:-1] += step
+        theta[:-1] += vt.T @ ((u.T @ (f - f.mean())) / sv)
 
     raise NoEquilibriumError(
         f"Newton did not reach |residual| < {tol:g} in {max_iter} iterations; "
@@ -222,18 +250,10 @@ def linearize(net: OscillatorNetwork, x_star) -> np.ndarray:
     e = net.n_edges
     if x_star.shape != (e,):
         raise ValueError(f"x_star must have shape ({e},)")
-    btb = net._b.T @ net._b
-    g = -btb * (net._k_diag * np.cos(x_star))[None, :]
     a = np.zeros((2 * e, 2 * e))
     a[:e, e:] = np.eye(e)
-    a[e:, e:] = g
+    a[e:, e:] = g_matrix(x_star, net)
     return a
-
-
-def _colspace_basis(net: OscillatorNetwork) -> np.ndarray:
-    """Orthonormal basis of the column space of B^T, shape (e, N-1)."""
-    q, _ = np.linalg.qr(net._b.T[:, :-1])
-    return q
 
 
 def classify_stability(
@@ -241,30 +261,33 @@ def classify_stability(
 ) -> StabilityReport:
     """Classify the equilibrium from the linearization spectrum.
 
+    The spectrum of A = [[0, I], [0, G(X*)]] is 2e - (N-1) exact zeros plus
+    the N-1 real eigenvalues of -L(X*) on the complement of the ones vector
+    (``g_restricted_eigenvalues``). ``tol_zero`` is relative to
+    |A|_2 = sqrt(1 + N lambda_max(L((k cos X*)^2))).
+
     semistable-candidate: X* inside the open half-circle box, every
     eigenvalue either negligible or with strictly negative real part, and
     exactly 2e - (N-1) negligible ones (the structural count for a
     connected network). unstable: some eigenvalue with positive real part.
-    Anything else is indeterminate. ``tol_zero`` is relative to the matrix
-    norm.
+    Anything else is indeterminate.
     """
     x_star = np.asarray(x_star, dtype=float)
-    a = linearize(net, x_star)
-    eigs = np.linalg.eigvals(a)
-    eigs = eigs[np.lexsort((eigs.imag, eigs.real))]
-    tol_abs = tol_zero * np.linalg.norm(a, 2)
-
-    q = _colspace_basis(net)
-    g = a[net.n_edges :, net.n_edges :]
-    restricted = np.linalg.eigvals(q.T @ g @ q)
-    restricted = restricted[np.lexsort((restricted.imag, restricted.real))]
+    n, e = net.n_oscillators, net.n_edges
+    if x_star.shape != (e,):
+        raise ValueError(f"x_star must have shape ({e},)")
+    w = net._k_diag * np.cos(x_star)
+    spec, spec_sq = _restricted_spectrum(net, np.stack([w, w * w]))
+    restricted = -spec[::-1]
+    expected_zeros = 2 * e - (n - 1)
+    eigs = np.sort(np.concatenate([np.zeros(expected_zeros), restricted])).astype(complex)
+    tol_abs = tol_zero * np.sqrt(1.0 + n * spec_sq[-1])
 
     n_zero = int(np.sum(np.abs(eigs) < tol_abs))
     any_positive = bool(np.any(eigs.real > tol_abs))
     nonzero = eigs[np.abs(eigs) >= tol_abs]
     all_nonzero_negative = bool(np.all(nonzero.real < -tol_abs))
     in_box = bool(np.all(np.abs(x_star) < np.pi / 2))
-    expected_zeros = 2 * net.n_edges - (net.n_oscillators - 1)
 
     if any_positive:
         classification = UNSTABLE
@@ -278,7 +301,7 @@ def classify_stability(
         eigenvalues=eigs,
         n_zero=n_zero,
         classification=classification,
-        g_restricted_eigenvalues=restricted,
+        g_restricted_eigenvalues=restricted.astype(complex),
         zero_tolerance=float(tol_abs),
     )
 
@@ -286,21 +309,16 @@ def classify_stability(
 def nontangency_rank_test(net: OscillatorNetwork, x) -> bool:
     """True iff G(X) v = 0 forces v = 0 on the column space of B^T.
 
-    Computed as a numerical rank test of G(X) restricted to a column-space
-    basis; equivalent to connectivity of the positive-gain graph whenever X
-    stays inside the open half-circle box.
+    Computed as a numerical rank test of L(X) on the complement of the ones
+    vector, whose |eigenvalues| are the singular values of G(X) on the
+    column space; equivalent to connectivity of the positive-gain graph
+    whenever X stays inside the open half-circle box.
     """
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) >= np.pi / 2):
         raise ValueError("x must lie strictly inside the half-circle box")
-    btb = net._b.T @ net._b
-    g = -btb * (net._k_diag * np.cos(x))[None, :]
-    m = g @ _colspace_basis(net)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return net.n_oscillators - 1 == 0
-    rank = int(np.sum(sv > RANK_TOL * sv[0]))
-    return rank == net.n_oscillators - 1
+    sv = np.abs(_restricted_spectrum(net, net._k_diag * np.cos(x)))
+    return bool(np.all(sv > RANK_TOL * sv.max()))
 
 
 def _set_h_inequality(net: OscillatorNetwork, sin_abs_x: np.ndarray) -> np.ndarray:
@@ -310,10 +328,8 @@ def _set_h_inequality(net: OscillatorNetwork, sin_abs_x: np.ndarray) -> np.ndarr
     (T, e) array and single states pass shape (e,).
     """
     n = net.n_oscillators
-    off = np.abs(net.incidence.T @ net.incidence).astype(float)
-    np.fill_diagonal(off, 0.0)
     lhs = _edge_frequency_mismatch(net)
-    rhs = (2.0 / n) * net.coupling_gains + (net.coupling_gains * sin_abs_x) @ off.T / n
+    rhs = (2.0 / n) * net.coupling_gains + _neighbor_sum(net, net.coupling_gains * sin_abs_x) / n
     return rhs - lhs
 
 

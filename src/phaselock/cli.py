@@ -127,16 +127,25 @@ def _cmd_simulate(config: RunConfig, args) -> int:
     return 0
 
 
-def _analysis_payload(net, delta: float, guess=None) -> dict:
+def _bounds_payload(net, delta: float) -> dict:
     bounds = analysis.coupling_bounds(net, delta=delta)
+    return {
+        "per_edge_sufficient": bounds.per_edge_sufficient.tolist(),
+        "uniform_k0": bounds.uniform_k0,
+        "onset_lower": bounds.onset_lower.tolist(),
+        "attracting_margin": bounds.attracting_margin,
+        "attracting_satisfied": bounds.attracting_satisfied,
+    }
+
+
+def _invariance_payload(report, *extra_keys) -> dict:
+    keys = ("passed", "bounds_met", "n_samples", "n_stayed", "fraction", "seed", *extra_keys)
+    return {"invariance": {k: getattr(report, k) for k in keys}}
+
+
+def _analysis_payload(net, delta: float, guess=None) -> dict:
     payload = {
-        "bounds": {
-            "per_edge_sufficient": bounds.per_edge_sufficient.tolist(),
-            "uniform_k0": bounds.uniform_k0,
-            "onset_lower": bounds.onset_lower.tolist(),
-            "attracting_margin": bounds.attracting_margin,
-            "attracting_satisfied": bounds.attracting_satisfied,
-        },
+        "bounds": _bounds_payload(net, delta),
         "sync_frequency": analysis.sync_frequency(net),
         "certificates": None,
     }
@@ -164,18 +173,9 @@ def _cmd_analyze(config: RunConfig, args) -> int:
     certificate = None
     if args.certify:
         certificate = analysis.invariance_certificate(
-            net, n_samples=args.samples, horizon=config.t_end, seed=config.seed
+            net, n_samples=args.samples, horizon=config.t_end, dt=config.dt, seed=config.seed
         )
-        payload["certificates"] = {
-            "invariance": {
-                "passed": certificate.passed,
-                "bounds_met": certificate.bounds_met,
-                "n_samples": certificate.n_samples,
-                "n_stayed": certificate.n_stayed,
-                "fraction": certificate.fraction,
-                "seed": certificate.seed,
-            }
-        }
+        payload["certificates"] = _invariance_payload(certificate)
     _write_json(_out_dir(args) / "report.json", payload)
     if certificate is not None and not certificate.passed:
         return 2
@@ -184,15 +184,7 @@ def _cmd_analyze(config: RunConfig, args) -> int:
 
 def _cmd_bounds(config: RunConfig, args) -> int:
     net = parse_network(config.network_path)
-    bounds = analysis.coupling_bounds(net, delta=args.delta)
-    payload = {
-        "per_edge_sufficient": bounds.per_edge_sufficient.tolist(),
-        "uniform_k0": bounds.uniform_k0,
-        "onset_lower": bounds.onset_lower.tolist(),
-        "attracting_margin": bounds.attracting_margin,
-        "attracting_satisfied": bounds.attracting_satisfied,
-    }
-    _write_json(_out_dir(args) / "bounds.json", payload)
+    _write_json(_out_dir(args) / "bounds.json", _bounds_payload(net, args.delta))
     return 0
 
 
@@ -206,21 +198,7 @@ def _cmd_invariance(config: RunConfig, args) -> int:
         margin=args.margin,
         seed=config.seed,
     )
-    payload = {
-        "certificates": {
-            "invariance": {
-                "passed": report.passed,
-                "bounds_met": report.bounds_met,
-                "n_samples": report.n_samples,
-                "n_stayed": report.n_stayed,
-                "fraction": report.fraction,
-                "horizon": report.horizon,
-                "dt": report.dt,
-                "margin": report.margin,
-                "seed": report.seed,
-            }
-        }
-    }
+    payload = {"certificates": _invariance_payload(report, "horizon", "dt", "margin")}
     _write_json(_out_dir(args) / "invariance.json", payload)
     if not report.passed:
         print(
@@ -313,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true", help="also run the invariance certificate")
     p.add_argument("--samples", type=int, default=100, help="certificate sample count")
     p.add_argument("--t-end", type=float, default=50.0, help="certificate horizon, s")
+    p.add_argument("--dt", type=float, default=0.01, help="certificate integration step, s")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("bounds", help="coupling-gain thresholds only")

@@ -105,8 +105,9 @@ class OscillatorNetwork:
         object.__setattr__(self, "natural_frequencies", _freeze(omega))
         object.__setattr__(self, "coupling_gains", _freeze(gains))
         object.__setattr__(self, "_k_diag", _freeze(gains / n))
+        object.__setattr__(self, "_ends", tuple(map(_freeze, np.triu_indices(n, 1))))
         w = np.zeros((n, n))
-        w[np.triu_indices(n, 1)] = self._k_diag  # row-major upper triangle = edge order
+        w[self._ends] = self._k_diag  # row-major upper triangle = edge order
         object.__setattr__(self, "_w", _freeze(w + w.T))
 
     @cached_property

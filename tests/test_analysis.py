@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phaselock import (
     INDETERMINATE,
@@ -13,6 +16,7 @@ from phaselock import (
     SingularJacobianError,
     attracting_set_check,
     classify_stability,
+    coupling_bounds,
     in_set_h,
     invariance_certificate,
     linearize,
@@ -26,7 +30,7 @@ from phaselock import (
     uniform_critical_gain,
     wrap_phase,
 )
-from phaselock.analysis import onset_lower_bounds
+from phaselock.analysis import RANK_TOL, onset_lower_bounds
 
 CHAIN = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
 
@@ -380,3 +384,116 @@ def test_invariance_margin_validation():
     net = OscillatorNetwork(3, np.zeros(3), np.ones(3))
     with pytest.raises(ValueError):
         invariance_certificate(net, n_samples=5, horizon=1.0, margin=np.pi / 2)
+
+
+# Dense edge-space reference for the node-space analysis: the 2e x 2e block
+# matrix from ``linearize`` and G restricted to an orthonormal column-space
+# basis of B^T.
+
+
+def _edge_oracle(net, x, tol_zero=1e-9):
+    a = linearize(net, x)
+    e = net.n_edges
+    eigs = np.linalg.eigvals(a)
+    tol_abs = tol_zero * np.linalg.norm(a, 2)
+    q, _ = np.linalg.qr(net.incidence.T[:, :-1].astype(float))
+    gq = a[e:, e:] @ q
+    n_zero = int(np.sum(np.abs(eigs) < tol_abs))
+    nonzero = eigs[np.abs(eigs) >= tol_abs]
+    if np.any(eigs.real > tol_abs):
+        classification = UNSTABLE
+    elif (
+        np.all(np.abs(x) < np.pi / 2)
+        and np.all(nonzero.real < -tol_abs)
+        and n_zero == 2 * e - (net.n_oscillators - 1)
+    ):
+        classification = SEMISTABLE_CANDIDATE
+    else:
+        classification = INDETERMINATE
+    sv = np.linalg.svd(gq, compute_uv=False)
+    rank = int(np.sum(sv > RANK_TOL * sv[0])) if sv[0] > 0 else 0
+    return {
+        "eigs": eigs,
+        "restricted": np.linalg.eigvals(q.T @ gq),
+        "n_zero": n_zero,
+        "classification": classification,
+        "zero_tolerance": tol_abs,
+        "full_rank": rank == net.n_oscillators - 1,
+    }
+
+
+@st.composite
+def edge_cases(draw, box=np.pi):
+    """A network on N = 2..8 with some zero gains and an edge vector X with
+    |x_i| < box."""
+    n = draw(st.integers(2, 8))
+    e = n * (n - 1) // 2
+    omega = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    gain = st.one_of(st.just(0.0), st.floats(0.01, 20.0))
+    gains = draw(arrays(float, e, elements=gain))
+    bound = np.nextafter(box, 0.0)
+    x = draw(arrays(float, e, elements=st.floats(-bound, bound)))
+    return OscillatorNetwork(n, omega, gains), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_cases())
+def test_laplacian_spectrum_matches_the_edge_spectrum(case):
+    net, x = case
+    report = classify_stability(net, x)
+    oracle = _edge_oracle(net, x)
+    scale = 1.0 + oracle["zero_tolerance"] / 1e-9
+    restricted = np.sort_complex(oracle["restricted"])
+    assert np.max(np.abs(restricted.imag)) < 1e-9 * scale
+    assert np.max(np.abs(report.g_restricted_eigenvalues - restricted.real)) < 1e-12 * scale
+    # every nonzero eigenvalue of the block matrix is a restricted one
+    big = oracle["eigs"][np.abs(oracle["eigs"]) > 1e-6 * scale]
+    for z in big:
+        assert np.min(np.abs(report.eigenvalues - z)) < 1e-9 * scale
+    assert report.eigenvalues.shape == (2 * net.n_edges,)
+    assert np.count_nonzero(report.eigenvalues) <= net.n_oscillators - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_cases())
+def test_classification_matches_the_edge_oracle(case):
+    net, x = case
+    report = classify_stability(net, x)
+    oracle = _edge_oracle(net, x)
+    assert report.zero_tolerance == pytest.approx(oracle["zero_tolerance"], rel=1e-12)
+    assert report.n_zero == oracle["n_zero"]
+    assert report.classification == oracle["classification"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_cases(box=np.pi / 2))
+def test_nontangency_rank_matches_the_edge_svd_rank(case):
+    net, x = case
+    assert nontangency_rank_test(net, x) == _edge_oracle(net, x)["full_rank"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_cases(), st.floats(1e-10, 1e-6))
+def test_returned_equilibrium_meets_the_edge_residual(case, tol):
+    net, _ = case
+    try:
+        x = solve_equilibrium(net, tol=tol)
+    except (NoEquilibriumError, SingularJacobianError):
+        return
+    b = net.incidence.astype(float)
+    residual = b.T @ net.natural_frequencies - b.T @ b @ (net.coupling_diag * np.sin(x))
+    assert np.max(np.abs(residual)) < tol
+    assert np.allclose(b.T @ np.linalg.lstsq(b.T, x, rcond=None)[0], x, atol=1e-12)
+
+
+def test_analysis_at_n200_leaves_the_incidence_unbuilt():
+    n = 200
+    e = n * (n - 1) // 2
+    net = OscillatorNetwork(n, np.linspace(-1.0, 1.0, n), np.full(e, 300.0))
+    x_star = solve_equilibrium(net)
+    report = classify_stability(net, x_star)
+    coupling_bounds(net)
+    assert report.classification == SEMISTABLE_CANDIDATE
+    assert report.n_zero == 2 * e - (n - 1)
+    assert nontangency_rank_test(net, x_star)
+    assert "incidence" not in net.__dict__ and "_b" not in net.__dict__
