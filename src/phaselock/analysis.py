@@ -200,10 +200,10 @@ def solve_equilibrium(
     residual B^T f has max norm ptp(f). The last node phase is pinned to
     zero, which removes the common-rotation nullspace; the step solves
     L(X)[:, :-1] step = f - mean(f) in the least-squares sense, which is the
-    least-squares step of the edge system. Raises SingularJacobianError when the Jacobian drops rank (a
-    cos(x_i) = 0 crossing) and NoEquilibriumError when the residual does not
-    reach ``tol`` within ``max_iter`` iterations, which typically means the
-    gains are below critical.
+    least-squares step of the edge system. Raises SingularJacobianError when
+    the Jacobian drops rank (a cos(x_i) = 0 crossing) and NoEquilibriumError
+    when the residual does not reach ``tol`` within ``max_iter`` iterations,
+    which typically means the gains are below critical.
     """
     n = net.n_oscillators
     if theta_guess is None:

@@ -138,11 +138,6 @@ def _bounds_payload(net, delta: float) -> dict:
     }
 
 
-def _invariance_payload(report, *extra_keys) -> dict:
-    keys = ("passed", "bounds_met", "n_samples", "n_stayed", "fraction", "seed", *extra_keys)
-    return {"invariance": {k: getattr(report, k) for k in keys}}
-
-
 def _analysis_payload(net, delta: float, guess=None) -> dict:
     payload = {
         "bounds": _bounds_payload(net, delta),
@@ -173,9 +168,18 @@ def _cmd_analyze(config: RunConfig, args) -> int:
     certificate = None
     if args.certify:
         certificate = analysis.invariance_certificate(
-            net, n_samples=args.samples, horizon=config.t_end, dt=config.dt, seed=config.seed
+            net, n_samples=args.samples, horizon=config.t_end, seed=config.seed
         )
-        payload["certificates"] = _invariance_payload(certificate)
+        payload["certificates"] = {
+            "invariance": {
+                "passed": certificate.passed,
+                "bounds_met": certificate.bounds_met,
+                "n_samples": certificate.n_samples,
+                "n_stayed": certificate.n_stayed,
+                "fraction": certificate.fraction,
+                "seed": certificate.seed,
+            }
+        }
     _write_json(_out_dir(args) / "report.json", payload)
     if certificate is not None and not certificate.passed:
         return 2
@@ -198,7 +202,21 @@ def _cmd_invariance(config: RunConfig, args) -> int:
         margin=args.margin,
         seed=config.seed,
     )
-    payload = {"certificates": _invariance_payload(report, "horizon", "dt", "margin")}
+    payload = {
+        "certificates": {
+            "invariance": {
+                "passed": report.passed,
+                "bounds_met": report.bounds_met,
+                "n_samples": report.n_samples,
+                "n_stayed": report.n_stayed,
+                "fraction": report.fraction,
+                "horizon": report.horizon,
+                "dt": report.dt,
+                "margin": report.margin,
+                "seed": report.seed,
+            }
+        }
+    }
     _write_json(_out_dir(args) / "invariance.json", payload)
     if not report.passed:
         print(
@@ -291,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--certify", action="store_true", help="also run the invariance certificate")
     p.add_argument("--samples", type=int, default=100, help="certificate sample count")
     p.add_argument("--t-end", type=float, default=50.0, help="certificate horizon, s")
-    p.add_argument("--dt", type=float, default=0.01, help="certificate integration step, s")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("bounds", help="coupling-gain thresholds only")

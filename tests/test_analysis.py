@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -419,7 +419,15 @@ def _edge_oracle(net, x, tol_zero=1e-9):
         "classification": classification,
         "zero_tolerance": tol_abs,
         "full_rank": rank == net.n_oscillators - 1,
+        "sv": sv,
     }
+
+
+def _clear_of(values, cutoff, band=4.0):
+    """True when no |value| lies within a factor ``band`` of ``cutoff``, so
+    round-off between two LAPACK routes cannot flip a threshold decision."""
+    v = np.abs(values)
+    return not np.any((v > cutoff / band) & (v < cutoff * band))
 
 
 @st.composite
@@ -460,7 +468,10 @@ def test_classification_matches_the_edge_oracle(case):
     net, x = case
     report = classify_stability(net, x)
     oracle = _edge_oracle(net, x)
-    assert report.zero_tolerance == pytest.approx(oracle["zero_tolerance"], rel=1e-12)
+    tol = oracle["zero_tolerance"]
+    assume(_clear_of(oracle["eigs"], tol) and _clear_of(oracle["eigs"].real, tol))
+    assume(_clear_of(report.g_restricted_eigenvalues, report.zero_tolerance))
+    assert report.zero_tolerance == pytest.approx(tol, rel=1e-12)
     assert report.n_zero == oracle["n_zero"]
     assert report.classification == oracle["classification"]
 
@@ -469,7 +480,9 @@ def test_classification_matches_the_edge_oracle(case):
 @given(edge_cases(box=np.pi / 2))
 def test_nontangency_rank_matches_the_edge_svd_rank(case):
     net, x = case
-    assert nontangency_rank_test(net, x) == _edge_oracle(net, x)["full_rank"]
+    oracle = _edge_oracle(net, x)
+    assume(_clear_of(oracle["sv"], RANK_TOL * oracle["sv"][0]))
+    assert nontangency_rank_test(net, x) == oracle["full_rank"]
 
 
 @settings(max_examples=200, deadline=None)

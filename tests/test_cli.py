@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-import phaselock.analysis
 from phaselock import OscillatorNetwork, write_network
 from phaselock.cli import RunConfig, main
 
@@ -266,25 +265,6 @@ def test_analyze_certify_fills_certificates(pair_file, tmp_path):
     report = json.loads((out / "report.json").read_text())
     cert = report["certificates"]["invariance"]
     assert cert["passed"] is True and cert["n_samples"] == 30
-
-
-def test_analyze_certify_honours_dt(pair_file, tmp_path, monkeypatch):
-    calls = []
-    certificate = phaselock.analysis.invariance_certificate
-
-    def recording(*args, **kwargs):
-        calls.append(kwargs)
-        return certificate(*args, **kwargs)
-
-    monkeypatch.setattr(phaselock.analysis, "invariance_certificate", recording)
-    argv = ["analyze", "--network", str(pair_file), "--certify", "--samples", "5",
-            "--t-end", "1", "--dt", "0.05", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    assert len(calls) == 1 and calls[0]["dt"] == 0.05 and calls[0]["horizon"] == 1.0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert set(report["certificates"]["invariance"]) == {
-        "passed", "bounds_met", "n_samples", "n_stayed", "fraction", "seed"
-    }
 
 
 def test_analyze_complete_graph_at_n200(tmp_path):
