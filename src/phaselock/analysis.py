@@ -22,7 +22,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import EdgeState, Trajectory, g_matrix, simulate_many, theta_dot
+from .dynamics import (
+    EdgeState,
+    Trajectory,
+    _edge_diff,
+    _integrate,
+    _validate_grid,
+    g_matrix,
+    simulate_many,
+    theta_dot,
+    wrap_phase,
+)
 from .errors import (
     NoEquilibriumError,
     SamplingInfeasibleError,
@@ -64,9 +74,21 @@ RANK_TOL = 1e-10  # relative singular-value cutoff for rank decisions
 
 def _edge_frequency_mismatch(net: OscillatorNetwork) -> np.ndarray:
     """Per-edge |omega_i - omega_j| in edge order, i.e. |B^T omega|."""
+    return np.abs(_edge_diff(net, net.natural_frequencies))
+
+
+def _node_sum(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
+    """B y: per node, y summed over its edges to higher-indexed nodes minus
+    over its edges to lower-indexed ones (edge index last)."""
     i, j = net._ends
-    omega = net.natural_frequencies
-    return np.abs(omega[i] - omega[j])
+    n = net.n_oscillators
+    rows = y.reshape(-1, y.shape[-1])
+    size = len(rows) * n
+    at = n * np.arange(len(rows))[:, None]  # one bincount over all rows
+    out = np.bincount((at + i).ravel(), rows.ravel(), size) - np.bincount(
+        (at + j).ravel(), rows.ravel(), size
+    )
+    return out.reshape(y.shape[:-1] + (n,))
 
 
 def _laplacian(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
@@ -352,11 +374,10 @@ def in_set_h(
         raise ValueError(f"state has {x.shape[0]} edges, expected {e}")
     in_box = bool(np.all(np.abs(x) < np.pi / 2))
     # projector onto Col(B^T) is B^T B / N for the complete-graph incidence
-    btb = net._b.T @ net._b
-    residual = x - btb @ x / net.n_oscillators
+    residual = x - _edge_diff(net, _node_sum(net, x)) / net.n_oscillators
     in_colspace = bool(np.linalg.norm(residual) <= colspace_tol)
-    v_expected = net._b.T @ net.natural_frequencies - btb @ (
-        net._k_diag * np.sin(x)
+    v_expected = _edge_diff(net, net.natural_frequencies) - _edge_diff(
+        net, _node_sum(net, net._k_diag * np.sin(x))
     )
     v_consistent = bool(np.max(np.abs(v - v_expected)) <= consistency_tol)
     slack = _set_h_inequality(net, np.sin(np.abs(x)))
@@ -375,9 +396,8 @@ def lyapunov_v2_along(traj: Trajectory, net: OscillatorNetwork):
     x = traj.edge_x(net)
     v = traj.edge_v(net)
     v2 = 0.5 * np.sum(v * v, axis=1)
-    btb = net._b.T @ net._b
     weighted = (net._k_diag * np.cos(x)) * v
-    v2_dot = -np.sum(v * (weighted @ btb.T), axis=1)
+    v2_dot = -np.sum(v * _edge_diff(net, _node_sum(net, weighted)), axis=1)
     return v2, v2_dot
 
 
@@ -470,6 +490,26 @@ def _sample_box_states(
     return np.concatenate(accepted, axis=1)[:, :n_samples]
 
 
+def _stays_in_box(net: OscillatorNetwork, theta: np.ndarray, wrapped: bool) -> np.ndarray:
+    """Per column of node phases theta (N, m): every edge difference
+    wrap(w_i - w_j) of the wrapped phases w lies in the open box |x| < pi/2.
+    w is theta itself when ``wrapped``, else wrap(theta).
+
+    np.mod is fmod, which is exact, plus at most one rounded addition of
+    2 pi, so each computed difference is theta_i - theta_j plus a multiple
+    of 2 pi and a few 1e-16; as rounding is monotone, a column whose computed
+    spread max - min of theta is below pi/2 - 1e-12 passes every pair, and
+    only the other columns need the pairwise test.
+    """
+    ok = theta.max(axis=0) - theta.min(axis=0) < np.pi / 2 - 1e-12
+    rest = ~ok
+    if np.any(rest):
+        i, j = net._ends
+        w = theta[:, rest] if wrapped else wrap_phase(theta[:, rest])
+        ok[rest] = np.all(np.abs(wrap_phase(w[i] - w[j])) < np.pi / 2, axis=0)
+    return ok
+
+
 def invariance_certificate(
     net: OscillatorNetwork,
     n_samples: int = 100,
@@ -490,18 +530,31 @@ def invariance_certificate(
     consistency identity by construction, and whenever the gain bounds are
     met the per-edge face inequality holds for every in-box state, so the
     per-step membership check reduces to confinement in the open box.
+
+    Without ``keep_trajectories`` the RK4 driver reduces every step to a
+    per-sample verdict, so memory is O(N n_samples) whatever the horizon;
+    with it the trajectories are stored and judged by the same test.
     """
     rng = np.random.default_rng(seed)
     bounds_met = bool(np.all(net.coupling_gains >= sufficient_gain_bounds(net) - 1e-12))
     theta0s = _sample_box_states(net, n_samples, margin, rng)
-    trajectories = simulate_many(net, theta0s, horizon, dt)
+    # stored steps are dense enough that an escaping difference is seen
+    # near the box face before the wrap could alias it back inside
+    if keep_trajectories:
+        trajectories = simulate_many(net, theta0s, horizon, dt)
+        stayed = np.array(
+            [_stays_in_box(net, t.thetas.T, wrapped=True).all() for t in trajectories]
+        )
+    else:
+        trajectories = []
+        theta0s, n_steps = _validate_grid(theta0s, net, horizon, dt)
+        stayed = np.ones(n_samples, dtype=bool)
 
-    stayed = np.ones(n_samples, dtype=bool)
-    for j, traj in enumerate(trajectories):
-        # stored steps are dense enough that an escaping difference is seen
-        # near the box face before the wrap could alias it back inside
-        x = traj.edge_x(net)
-        stayed[j] = bool(np.all(np.abs(x) < np.pi / 2))
+        def judge(k, theta, td):
+            stayed[stayed] = _stays_in_box(net, theta[:, stayed], wrapped=False)
+            return False
+
+        _integrate(net, theta0s, n_steps, dt, judge)
 
     n_stayed = int(np.sum(stayed))
     fraction = n_stayed / n_samples
@@ -515,5 +568,5 @@ def invariance_certificate(
         dt=dt,
         margin=margin,
         seed=seed,
-        trajectories=list(trajectories) if keep_trajectories else [],
+        trajectories=trajectories,
     )

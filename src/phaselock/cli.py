@@ -29,6 +29,7 @@ from .errors import (
 )
 from .experiments import EXPERIMENT_IDS, run_experiment
 from .netfile import parse_network
+from .tables import write_csv, write_trajectory
 
 __all__ = ["RunConfig", "main"]
 
@@ -90,13 +91,6 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(_round15(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -115,15 +109,7 @@ def _cmd_simulate(config: RunConfig, args) -> int:
         rng = np.random.default_rng(config.seed)
         theta0 = rng.uniform(-np.pi, np.pi, size=net.n_oscillators)
     traj = simulate(net, theta0, config.t_end, config.dt)
-    n = net.n_oscillators
-    header = (
-        "t,"
-        + ",".join(f"theta_{i + 1}" for i in range(n))
-        + ","
-        + ",".join(f"thetadot_{i + 1}" for i in range(n))
-    )
-    rows = np.column_stack([traj.times, traj.thetas, traj.theta_dots])
-    _write_csv(_out_dir(args) / "trajectory.csv", header, rows)
+    write_trajectory(_out_dir(args) / "trajectory.csv", traj)
     return 0
 
 
@@ -237,7 +223,7 @@ def _cmd_portrait(config: RunConfig, args) -> int:
         x2_range=(args.x2_min, args.x2_max),
         resolution=args.grid,
     )
-    _write_csv(out / "field.csv", "x1,x2,dx1,dx2", grid)
+    write_csv(out / "field.csv", "x1,x2,dx1,dx2", grid)
 
     if net.n_oscillators == 2:
         params = planar.PlanarParams(
@@ -256,7 +242,7 @@ def _cmd_portrait(config: RunConfig, args) -> int:
             )
             for v in x1
         ]
-        _write_csv(out / "gboundary.csv", "x1,upper,lower", rows)
+        write_csv(out / "gboundary.csv", "x1,upper,lower", rows)
 
         eps = planar.DEFAULT_CONE_EPS
         sweep = np.linspace(-np.pi / 2 + 2 * eps, np.pi / 2 - 2 * eps, args.grid)
@@ -266,7 +252,7 @@ def _cmd_portrait(config: RunConfig, args) -> int:
             cone_rows.append(
                 (a, interval.lo, interval.hi, float(planar.nontangency_planar(a, eps, params)))
             )
-        _write_csv(out / "cones.csv", "a,lo_slope,hi_slope,nontangent", cone_rows)
+        write_csv(out / "cones.csv", "a,lo_slope,hi_slope,nontangent", cone_rows)
     return 0
 
 

@@ -9,8 +9,11 @@ X = B^T theta (phase differences) and V = B^T theta_dot (frequency
 differences); in these coordinates the flow is Xdot = V,
 Vdot = G(X) V with G(X) = -B^T B K diag(cos X).
 
-Integration is classical fixed-step RK4 on unwrapped phases; stored
-phases are wrapped to (-pi, pi].
+Integration is classical fixed-step RK4 on unwrapped phases, run by one
+driver that hands every step's batch of states and fields to a reducer:
+``simulate_many`` stores them (stored phases are wrapped to (-pi, pi]),
+while the invariance certificate keeps only a per-sample verdict, in
+O(N m) memory.
 """
 
 from __future__ import annotations
@@ -97,6 +100,12 @@ def edge_transform(theta, theta_dot_vec, b) -> EdgeState:
     return EdgeState(x=x, v=v)
 
 
+def _edge_diff(net: OscillatorNetwork, z: np.ndarray) -> np.ndarray:
+    """B^T z: per edge (i, j), z_i - z_j (node index last)."""
+    i, j = net._ends
+    return z.take(i, axis=-1) - z.take(j, axis=-1)
+
+
 def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:
     """Edge-space flow matrix G(X) = -B^T B K diag(cos X)."""
     x = np.asarray(x, dtype=float)
@@ -128,11 +137,11 @@ class Trajectory:
 
     def edge_x(self, net: OscillatorNetwork) -> np.ndarray:
         """Wrapped edge phase differences at each stored time, shape (T, e)."""
-        return wrap_phase(self.thetas @ net._b)
+        return wrap_phase(_edge_diff(net, self.thetas))
 
     def edge_v(self, net: OscillatorNetwork) -> np.ndarray:
         """Edge frequency differences at each stored time, shape (T, e)."""
-        return self.theta_dots @ net._b
+        return _edge_diff(net, self.theta_dots)
 
 
 def _validate_grid(theta0, net, t_end, dt):
@@ -155,6 +164,27 @@ def _rk4_step(f, y, dt, k1):
     k3 = f(y + 0.5 * dt * k2)
     k4 = f(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _integrate(net, theta, n_steps, dt, reduce) -> int:
+    """Fixed-step RK4 driver for a batch of states of shape (N, m).
+
+    Calls ``reduce(k, theta_k, theta_dot_k)`` at every step k = 0, 1, ...,
+    n_steps with the unwrapped phases and the field there, and stops early
+    once it returns True; returns the last step taken. Each stored field is
+    the next step's first stage. Raises DivergenceError naming the step if
+    any state goes non-finite.
+    """
+    f = lambda th: theta_dot(th, net)
+    td = f(theta)
+    k = 0
+    while not reduce(k, theta, td) and k < n_steps:
+        k += 1
+        theta = _rk4_step(f, theta, dt, td)
+        if not np.all(np.isfinite(theta)):
+            raise DivergenceError(step=k, time=k * dt)
+        td = f(theta)
+    return k
 
 
 def simulate(
@@ -201,47 +231,35 @@ def simulate_many(
     ``theta0s`` has shape (N, m), one column per trajectory. All runs share
     the time grid; with ``stop_on_sync`` the batch stops once every run has
     held a sustained sync window (runs keep their individual detection
-    times). Raises DivergenceError naming the step if any state goes
-    non-finite.
+    times). The RK4 driver hands each step to a reducer that stores it and
+    keeps the sync-window counters. Raises DivergenceError naming the step
+    if any state goes non-finite.
     """
     theta0s = np.asarray(theta0s, dtype=float)
     if theta0s.ndim != 2:
         raise ValueError("theta0s must have shape (N, m)")
     theta0s, n_steps = _validate_grid(theta0s, net, t_end, dt)
     m = theta0s.shape[1]
-
-    f = lambda th: theta_dot(th, net)
     window_steps = max(1, int(round(sync_window / dt)))
 
     thetas = np.empty((n_steps + 1, net.n_oscillators, m))
     dots = np.empty_like(thetas)
-    theta = theta0s.copy()
-    thetas[0] = theta
-    dots[0] = f(theta)
-
     run = np.zeros(m, dtype=int)  # consecutive small-spread steps per run
     sync_step = np.full(m, -1, dtype=int)  # step index where the window began
-    spread0 = np.ptp(dots[0], axis=0)
-    run[spread0 < sync_tol] = 1
 
-    last = n_steps
-    for k in range(1, n_steps + 1):
-        theta = _rk4_step(f, theta, dt, dots[k - 1])
-        if not np.all(np.isfinite(theta)):
-            raise DivergenceError(step=k, time=k * dt)
+    def store(k, theta, td):
         thetas[k] = theta
-        td = f(theta)
         dots[k] = td
-
-        spread = np.ptp(td, axis=0)
-        small = spread < sync_tol
+        small = np.ptp(td, axis=0) < sync_tol
         run[~small] = 0
         run[small] += 1
+        if k == 0:
+            return False
         completed = (run >= window_steps) & (sync_step < 0)
         sync_step[completed] = k - window_steps + 1
-        if stop_on_sync and np.all(sync_step >= 0):
-            last = k
-            break
+        return stop_on_sync and bool(np.all(sync_step >= 0))
+
+    last = _integrate(net, theta0s, n_steps, dt, store)
 
     times = np.arange(last + 1) * dt
     out = []

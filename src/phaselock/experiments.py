@@ -27,6 +27,7 @@ from .analysis import (
 from .errors import NoEquilibriumError, SingularJacobianError
 from .dynamics import simulate, vector_field_grid, wrap_phase
 from .network import OscillatorNetwork, edge_count, edge_index
+from .tables import write_csv, write_trajectory
 
 __all__ = [
     "EXPERIMENT_IDS",
@@ -80,19 +81,12 @@ class ExperimentResult:
     failures: list[str] = field(default_factory=list)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.15g}" for v in row) + "\n")
-
-
 def _run_three_chain(out_dir: Path, grid_resolution: int = 41) -> ExperimentResult:
     net = three_chain_network()
     failures: list[str] = []
 
     grid = vector_field_grid(net, resolution=grid_resolution)
-    _write_csv(out_dir / "field.csv", "x1,x2,dx1,dx2", grid)
+    write_csv(out_dir / "field.csv", "x1,x2,dx1,dx2", grid)
 
     x_star = solve_equilibrium(net)
     expected = np.array([0.0, -np.pi / 6])
@@ -154,14 +148,7 @@ def _run_five_network(
             f"worst deviation {worst:.3g}"
         )
 
-    rows = np.column_stack([traj.times, traj.thetas, traj.theta_dots])
-    header = (
-        "t,"
-        + ",".join(f"theta_{i + 1}" for i in range(5))
-        + ","
-        + ",".join(f"thetadot_{i + 1}" for i in range(5))
-    )
-    _write_csv(out_dir / "trajectory.csv", header, rows)
+    write_trajectory(out_dir / "trajectory.csv", traj)
 
     report = {
         "network": {

@@ -1,5 +1,7 @@
 """Equilibria, spectra, gain bounds, invariant sets, Lyapunov diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -10,10 +12,12 @@ from phaselock import (
     INDETERMINATE,
     SEMISTABLE_CANDIDATE,
     UNSTABLE,
+    DivergenceError,
     EdgeState,
     NoEquilibriumError,
     OscillatorNetwork,
     SingularJacobianError,
+    Trajectory,
     attracting_set_check,
     classify_stability,
     coupling_bounds,
@@ -431,10 +435,10 @@ def _clear_of(values, cutoff, band=4.0):
 
 
 @st.composite
-def edge_cases(draw, box=np.pi):
-    """A network on N = 2..8 with some zero gains and an edge vector X with
-    |x_i| < box."""
-    n = draw(st.integers(2, 8))
+def edge_cases(draw, box=np.pi, max_n=8):
+    """A network on N = 2..max_n with some zero gains and an edge vector X
+    with |x_i| < box."""
+    n = draw(st.integers(2, max_n))
     e = n * (n - 1) // 2
     omega = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
     gain = st.one_of(st.just(0.0), st.floats(0.01, 20.0))
@@ -510,3 +514,141 @@ def test_analysis_at_n200_leaves_the_incidence_unbuilt():
     assert report.n_zero == 2 * e - (n - 1)
     assert nontangency_rank_test(net, x_star)
     assert "incidence" not in net.__dict__ and "_b" not in net.__dict__
+
+
+# Edge-space views through the edge endpoints against the dense incidence
+# formulas they replaced.
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_cases(max_n=12), st.data())
+def test_edge_views_match_the_dense_incidence(case, data):
+    net, x = case
+    n, b = net.n_oscillators, net._b
+    btb = b.T @ b
+    theta = data.draw(arrays(float, (3, n), elements=st.floats(-10.0, 10.0)))
+    traj = Trajectory(times=np.arange(3.0), thetas=wrap_phase(theta), theta_dots=theta)
+    assert np.array_equal(traj.edge_x(net), wrap_phase(traj.thetas @ b))
+    assert np.array_equal(traj.edge_v(net), traj.theta_dots @ b)
+
+    xs, vs = traj.edge_x(net), traj.edge_v(net)
+    weighted = (net._k_diag * np.cos(xs)) * vs
+    v2, v2_dot = lyapunov_v2_along(traj, net)
+    terms = np.abs(vs) * (np.abs(weighted) @ np.abs(btb))
+    dense = -np.sum(vs * (weighted @ btb.T), axis=1)
+    assert np.all(np.abs(v2_dot - dense) <= 1e-12 * terms.sum(axis=1))
+    assert np.array_equal(v2, 0.5 * np.sum(vs * vs, axis=1))
+
+    # a phase-difference vector B^T theta with its consistent frequencies
+    xc = b.T @ theta[0]
+    v_dense = b.T @ net.natural_frequencies - btb @ (net._k_diag * np.sin(xc))
+    member = in_set_h(EdgeState(xc, v_dense), net)
+    assert member.in_colspace and member.v_consistent
+    assert not in_set_h(EdgeState(xc, v_dense + 1e-6), net).v_consistent
+    # an arbitrary X, on whichever side of the tolerance it clearly lies
+    residual = np.linalg.norm(x - btb @ x / n)
+    if residual > 1e-6 or residual < 1e-12:
+        member = in_set_h(EdgeState(x, np.zeros_like(x)), net)
+        assert member.in_colspace == (residual < 1e-12)
+
+
+def test_in_set_h_at_n200_stays_small():
+    n = 200
+    omega = np.linspace(-1.0, 1.0, n)
+    net = OscillatorNetwork(n, omega, np.full(n * (n - 1) // 2, 300.0))
+    i, j = np.triu_indices(n, 1)
+    theta = np.linspace(-0.2, 0.2, n)
+    x = theta[i] - theta[j]
+    k_sin = net._k_diag * np.sin(x)
+    by = np.bincount(i, k_sin, n) - np.bincount(j, k_sin, n)
+    v = (omega[i] - omega[j]) - (by[i] - by[j])
+    tracemalloc.start()
+    try:
+        member = in_set_h(EdgeState(x, v), net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert member.in_box and member.in_colspace and member.v_consistent
+    assert peak < 50e6, f"in_set_h peak {peak / 1e6:.1f} MB"
+
+
+# The streamed certificate verdict against an oracle over stored steps.
+
+
+@st.composite
+def certificate_cases(draw):
+    """A network on N = 2..5 with gains at 0.3-1.2x the sufficient
+    thresholds (0.1 on zero-mismatch edges) and a mean frequency that may
+    carry the phases across +-pi."""
+    n = draw(st.integers(2, 5))
+    omega = draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+    omega = omega + draw(st.sampled_from([0.0, 3.0, -5.0]))
+    bounds = sufficient_gain_bounds(OscillatorNetwork(n, omega, np.ones(n * (n - 1) // 2)))
+    gains = np.where(bounds > 1e-12, draw(st.floats(0.3, 1.2)) * bounds, 0.1)
+    return OscillatorNetwork(n, omega, gains), draw(st.integers(0, 2**16))
+
+
+def _certificate_fields(report):
+    return (report.passed, report.bounds_met, report.n_samples, report.n_stayed,
+            report.fraction, report.horizon, report.dt, report.margin, report.seed)
+
+
+def _stored_verdict(report, net):
+    return sum(bool(np.all(np.abs(t.edge_x(net)) < np.pi / 2)) for t in report.trajectories)
+
+
+@settings(max_examples=40, deadline=None)
+@given(certificate_cases())
+def test_streamed_certificate_matches_the_stored_oracle(case):
+    net, seed = case
+    streamed = invariance_certificate(net, n_samples=12, horizon=2.0, dt=0.02, seed=seed)
+    stored = invariance_certificate(
+        net, n_samples=12, horizon=2.0, dt=0.02, seed=seed, keep_trajectories=True
+    )
+    assert streamed.trajectories == [] and len(stored.trajectories) == 12
+    assert streamed.n_stayed == _stored_verdict(stored, net)
+    assert _certificate_fields(streamed) == _certificate_fields(stored)
+
+
+def test_streamed_certificate_partial_escape_across_the_wrap():
+    rng = np.random.default_rng(2)
+    n = int(rng.integers(3, 6))
+    omega = rng.uniform(-2.0, 2.0, n) + 3.0
+    bounds = sufficient_gain_bounds(OscillatorNetwork(n, omega, np.ones(n * (n - 1) // 2)))
+    gains = np.where(bounds > 1e-12, rng.uniform(0.3, 0.9) * bounds, 0.1)
+    net = OscillatorNetwork(n, omega, gains)
+    streamed = invariance_certificate(net, n_samples=30, horizon=2.0, dt=0.02, seed=2)
+    stored = invariance_certificate(
+        net, n_samples=30, horizon=2.0, dt=0.02, seed=2, keep_trajectories=True
+    )
+    assert 0 < streamed.n_stayed < 30
+    assert streamed.n_stayed == _stored_verdict(stored, net)
+    assert _certificate_fields(streamed) == _certificate_fields(stored)
+    # the stored phases wrap at +-pi during the run
+    jumps = [np.max(np.abs(np.diff(t.thetas, axis=0))) for t in stored.trajectories]
+    assert max(jumps) > np.pi
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_certificate_blow_up_raises_divergence(keep):
+    net = OscillatorNetwork(2, [0.0, 0.0], [1e308])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            invariance_certificate(
+                net, n_samples=5, horizon=1.0, dt=0.5, seed=0, keep_trajectories=keep
+            )
+
+
+def test_certificate_peak_memory_at_n10_stays_below_8mb():
+    rng = np.random.default_rng(10)
+    omega = rng.uniform(-1.0, 1.0, 10)
+    bounds = sufficient_gain_bounds(OscillatorNetwork(10, omega, np.ones(45)))
+    net = OscillatorNetwork(10, omega, 1.2 * bounds)
+    tracemalloc.start()
+    try:
+        report = invariance_certificate(net, n_samples=400, horizon=5.0, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 8e6, f"certificate peak {peak / 1e6:.1f} MB"

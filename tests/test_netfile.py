@@ -1,9 +1,14 @@
 """Network definition file parsing, validation, and round-trips."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phaselock import NetworkFileError, OscillatorNetwork, parse_network, write_network
 
@@ -92,3 +97,32 @@ def test_round_trip_exact(tmp_path):
         path = tmp_path / f"net_{idx}.json"
         write_network(net, path)
         assert parse_network(path) == net
+
+
+_EXTREME = st.sampled_from([5e-324, 2.2250738585072014e-308, 1e16, 1.7976931348623157e308])
+
+
+@st.composite
+def networks(draw):
+    """Networks on N = 2..15 with zero, negative-zero and extreme gains and
+    frequencies of any finite magnitude."""
+    n = draw(st.integers(2, 15))
+    e = n * (n - 1) // 2
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    extreme = st.one_of(_EXTREME, _EXTREME.map(lambda v: -v))
+    omega = draw(arrays(float, n, elements=st.one_of(finite, extreme)))
+    gain = st.one_of(st.just(0.0), st.just(-0.0), _EXTREME, st.floats(0.0, 1e300))
+    return OscillatorNetwork(n, omega, draw(arrays(float, e, elements=gain)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks())
+def test_write_then_parse_round_trips(net):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        write_network(net, path)
+        back = parse_network(path)
+    assert back == net
+    # bit for bit, so the sign of a zero survives too
+    assert back.natural_frequencies.tobytes() == net.natural_frequencies.tobytes()
+    assert back.coupling_gains.tobytes() == net.coupling_gains.tobytes()
