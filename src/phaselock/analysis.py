@@ -490,10 +490,11 @@ def _sample_box_states(
     return np.concatenate(accepted, axis=1)[:, :n_samples]
 
 
-def _stays_in_box(net: OscillatorNetwork, theta: np.ndarray, wrapped: bool) -> np.ndarray:
+def _stays_in_box(net: OscillatorNetwork, theta: np.ndarray) -> np.ndarray:
     """Per column of node phases theta (N, m): every edge difference
-    wrap(w_i - w_j) of the wrapped phases w lies in the open box |x| < pi/2.
-    w is theta itself when ``wrapped``, else wrap(theta).
+    wrap(w_i - w_j) of the wrapped phases w = wrap(theta) lies in the open
+    box |x| < pi/2. wrap_phase is idempotent, so stored (wrapped) phases
+    give the same verdict as the unwrapped ones they came from.
 
     np.mod is fmod, which is exact, plus at most one rounded addition of
     2 pi, so each computed difference is theta_i - theta_j plus a multiple
@@ -505,7 +506,7 @@ def _stays_in_box(net: OscillatorNetwork, theta: np.ndarray, wrapped: bool) -> n
     rest = ~ok
     if np.any(rest):
         i, j = net._ends
-        w = theta[:, rest] if wrapped else wrap_phase(theta[:, rest])
+        w = wrap_phase(theta[:, rest])
         ok[rest] = np.all(np.abs(wrap_phase(w[i] - w[j])) < np.pi / 2, axis=0)
     return ok
 
@@ -542,16 +543,14 @@ def invariance_certificate(
     # near the box face before the wrap could alias it back inside
     if keep_trajectories:
         trajectories = simulate_many(net, theta0s, horizon, dt)
-        stayed = np.array(
-            [_stays_in_box(net, t.thetas.T, wrapped=True).all() for t in trajectories]
-        )
+        stayed = np.array([_stays_in_box(net, t.thetas.T).all() for t in trajectories])
     else:
         trajectories = []
         theta0s, n_steps = _validate_grid(theta0s, net, horizon, dt)
         stayed = np.ones(n_samples, dtype=bool)
 
         def judge(k, theta, td):
-            stayed[stayed] = _stays_in_box(net, theta[:, stayed], wrapped=False)
+            stayed[stayed] = _stays_in_box(net, theta[:, stayed])
             return False
 
         _integrate(net, theta0s, n_steps, dt, judge)

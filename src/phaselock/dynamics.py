@@ -253,7 +253,7 @@ def simulate_many(
         small = np.ptp(td, axis=0) < sync_tol
         run[~small] = 0
         run[small] += 1
-        if k == 0:
+        if k == 0:  # step 0 only seeds the counters; windows end on steps taken
             return False
         completed = (run >= window_steps) & (sync_step < 0)
         sync_step[completed] = k - window_steps + 1
