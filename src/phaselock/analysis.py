@@ -77,18 +77,18 @@ def _edge_frequency_mismatch(net: OscillatorNetwork) -> np.ndarray:
     return np.abs(_edge_diff(net, net.natural_frequencies))
 
 
-def _node_sum(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
-    """B y: per node, y summed over its edges to higher-indexed nodes minus
-    over its edges to lower-indexed ones (edge index last)."""
+def _apply_edge_laplacian(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
+    """B^T B y for edge values y (edge index last), through the edge ends:
+    the node sums B y are two bincounts, offset so one call covers all rows."""
     i, j = net._ends
     n = net.n_oscillators
     rows = y.reshape(-1, y.shape[-1])
     size = len(rows) * n
-    at = n * np.arange(len(rows))[:, None]  # one bincount over all rows
-    out = np.bincount((at + i).ravel(), rows.ravel(), size) - np.bincount(
+    at = n * np.arange(len(rows))[:, None]
+    by = np.bincount((at + i).ravel(), rows.ravel(), size) - np.bincount(
         (at + j).ravel(), rows.ravel(), size
     )
-    return out.reshape(y.shape[:-1] + (n,))
+    return _edge_diff(net, by.reshape(y.shape[:-1] + (n,)))
 
 
 def _laplacian(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
@@ -374,10 +374,10 @@ def in_set_h(
         raise ValueError(f"state has {x.shape[0]} edges, expected {e}")
     in_box = bool(np.all(np.abs(x) < np.pi / 2))
     # projector onto Col(B^T) is B^T B / N for the complete-graph incidence
-    residual = x - _edge_diff(net, _node_sum(net, x)) / net.n_oscillators
+    residual = x - _apply_edge_laplacian(net, x) / net.n_oscillators
     in_colspace = bool(np.linalg.norm(residual) <= colspace_tol)
-    v_expected = _edge_diff(net, net.natural_frequencies) - _edge_diff(
-        net, _node_sum(net, net._k_diag * np.sin(x))
+    v_expected = _edge_diff(net, net.natural_frequencies) - _apply_edge_laplacian(
+        net, net._k_diag * np.sin(x)
     )
     v_consistent = bool(np.max(np.abs(v - v_expected)) <= consistency_tol)
     slack = _set_h_inequality(net, np.sin(np.abs(x)))
@@ -397,7 +397,7 @@ def lyapunov_v2_along(traj: Trajectory, net: OscillatorNetwork):
     v = traj.edge_v(net)
     v2 = 0.5 * np.sum(v * v, axis=1)
     weighted = (net._k_diag * np.cos(x)) * v
-    v2_dot = -np.sum(v * _edge_diff(net, _node_sum(net, weighted)), axis=1)
+    v2_dot = -np.sum(v * _apply_edge_laplacian(net, weighted), axis=1)
     return v2, v2_dot
 
 
