@@ -25,8 +25,10 @@ import numpy as np
 from .dynamics import (
     EdgeState,
     Trajectory,
+    _apply_edge_laplacian,
     _edge_diff,
     _integrate,
+    _node_field,
     _validate_grid,
     g_matrix,
     simulate_many,
@@ -75,20 +77,6 @@ RANK_TOL = 1e-10  # relative singular-value cutoff for rank decisions
 def _edge_frequency_mismatch(net: OscillatorNetwork) -> np.ndarray:
     """Per-edge |omega_i - omega_j| in edge order, i.e. |B^T omega|."""
     return np.abs(_edge_diff(net, net.natural_frequencies))
-
-
-def _apply_edge_laplacian(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
-    """B^T B y for edge values y (edge index last), through the edge ends:
-    the node sums B y are two bincounts, offset so one call covers all rows."""
-    i, j = net._ends
-    n = net.n_oscillators
-    rows = y.reshape(-1, y.shape[-1])
-    size = len(rows) * n
-    at = n * np.arange(len(rows))[:, None]
-    by = np.bincount((at + i).ravel(), rows.ravel(), size) - np.bincount(
-        (at + j).ravel(), rows.ravel(), size
-    )
-    return _edge_diff(net, by.reshape(y.shape[:-1] + (n,)))
 
 
 def _laplacian(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
@@ -546,14 +534,14 @@ def invariance_certificate(
         stayed = np.array([_stays_in_box(net, t.thetas.T).all() for t in trajectories])
     else:
         trajectories = []
-        theta0s, n_steps = _validate_grid(theta0s, net, horizon, dt)
+        theta0s, n_steps = _validate_grid(theta0s, horizon, dt)
         stayed = np.ones(n_samples, dtype=bool)
 
         def judge(k, theta, td):
             stayed[stayed] = _stays_in_box(net, theta[:, stayed])
             return False
 
-        _integrate(net, theta0s, n_steps, dt, judge)
+        _integrate(_node_field(net), theta0s, n_steps, dt, judge)
 
     n_stayed = int(np.sum(stayed))
     fraction = n_stayed / n_samples

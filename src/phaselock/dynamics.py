@@ -7,13 +7,14 @@ K = diag(gains)/N. It is evaluated in O(N^2) as omega + c * (W s) - s * (W c)
 with W = Ktilde/N and s, c = sin, cos(theta - theta_1). Edge coordinates are
 X = B^T theta (phase differences) and V = B^T theta_dot (frequency
 differences); in these coordinates the flow is Xdot = V,
-Vdot = G(X) V with G(X) = -B^T B K diag(cos X).
+Vdot = G(X) V with G(X) = -B^T B K diag(cos X). Products with B^T and B^T B
+go through the edge ends, never through the dense incidence.
 
-Integration is classical fixed-step RK4 on unwrapped phases, run by one
-driver that hands every step's batch of states and fields to a reducer:
-``simulate_many`` stores them (stored phases are wrapped to (-pi, pi]),
-while the invariance certificate keeps only a per-sample verdict, in
-O(N m) memory.
+Integration is classical fixed-step RK4, run for every flow (node and
+planar) by one driver that hands every step's states and fields to a
+reducer and raises DivergenceError on a non-finite state: ``simulate_many``
+stores the batch and wraps it to (-pi, pi] once, while the invariance
+certificate keeps only a per-sample verdict, in O(N m) memory.
 """
 
 from __future__ import annotations
@@ -41,11 +42,16 @@ SYNC_TOL = 1e-6
 SYNC_WINDOW = 1.0  # seconds of sustained small frequency spread
 
 
+def _wrap_in_place(a: np.ndarray) -> np.ndarray:
+    """Wrap the float array ``a`` to (-pi, pi] in place and return it."""
+    np.mod(a, 2.0 * np.pi, out=a)
+    np.subtract(a, 2.0 * np.pi, out=a, where=a > np.pi)
+    return a
+
+
 def wrap_phase(x):
     """Wrap angles componentwise to the half-open interval (-pi, pi]."""
-    x = np.asarray(x, dtype=float)
-    w = np.mod(x, 2.0 * np.pi)
-    return np.where(w > np.pi, w - 2.0 * np.pi, w)
+    return _wrap_in_place(np.array(x, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -106,13 +112,27 @@ def _edge_diff(net: OscillatorNetwork, z: np.ndarray) -> np.ndarray:
     return z.take(i, axis=-1) - z.take(j, axis=-1)
 
 
+def _apply_edge_laplacian(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
+    """B^T B y for edge values y (edge index last), through the edge ends:
+    the node sums B y are two bincounts, offset so one call covers all rows."""
+    i, j = net._ends
+    n = net.n_oscillators
+    rows = y.reshape(-1, y.shape[-1])
+    size = len(rows) * n
+    at = n * np.arange(len(rows))[:, None]
+    by = np.bincount((at + i).ravel(), rows.ravel(), size) - np.bincount(
+        (at + j).ravel(), rows.ravel(), size
+    )
+    return _edge_diff(net, by.reshape(y.shape[:-1] + (n,)))
+
+
 def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:
     """Edge-space flow matrix G(X) = -B^T B K diag(cos X)."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_edges,):
         raise ValueError(f"x must have shape ({net.n_edges},)")
-    btb = net._b.T @ net._b
-    return -btb * (net._k_diag * np.cos(x))[None, :]
+    # B^T B applied row by row to diag(d) gives diag(d) B^T B = (B^T B diag(d))^T
+    return -_apply_edge_laplacian(net, np.diag(net._k_diag * np.cos(x))).T
 
 
 @dataclass(frozen=True)
@@ -144,18 +164,21 @@ class Trajectory:
         return _edge_diff(net, self.theta_dots)
 
 
-def _validate_grid(theta0, net, t_end, dt):
-    theta0 = np.asarray(theta0, dtype=float)
-    if theta0.shape[0] != net.n_oscillators:
-        raise ValueError("theta0 has wrong length")
-    if not np.all(np.isfinite(theta0)):
-        raise ValueError("theta0 must be finite")
+def _validate_grid(y0, t_end, dt):
+    y0 = np.asarray(y0, dtype=float)
+    if not np.isfinite(y0).all():
+        raise ValueError("initial state must be finite")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
     if not (np.isfinite(t_end) and t_end >= dt):
         raise ValueError("t_end must be at least dt")
     n_steps = int(round(t_end / dt))
-    return theta0, max(n_steps, 1)
+    return y0, max(n_steps, 1)
+
+
+def _node_field(net: OscillatorNetwork):
+    """theta -> theta_dot(theta, net), looking ``theta_dot`` up at each call."""
+    return lambda theta: theta_dot(theta, net)
 
 
 def _rk4_step(f, y, dt, k1):
@@ -166,24 +189,22 @@ def _rk4_step(f, y, dt, k1):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _integrate(net, theta, n_steps, dt, reduce) -> int:
-    """Fixed-step RK4 driver for a batch of states of shape (N, m).
+def _integrate(f, y, n_steps, dt, reduce) -> int:
+    """Fixed-step RK4 driver for the autonomous field ``f``.
 
-    Calls ``reduce(k, theta_k, theta_dot_k)`` at every step k = 0, 1, ...,
-    n_steps with the unwrapped phases and the field there, and stops early
-    once it returns True; returns the last step taken. Each stored field is
-    the next step's first stage. Raises DivergenceError naming the step if
-    any state goes non-finite.
+    Calls ``reduce(k, y_k, f(y_k))`` at steps k = 0, 1, ..., n_steps, each
+    field value being the next step's first stage, and returns the last step
+    taken, stopping early once ``reduce`` returns True. Raises
+    DivergenceError naming the step if any state goes non-finite.
     """
-    f = lambda th: theta_dot(th, net)
-    td = f(theta)
+    fy = f(y)
     k = 0
-    while not reduce(k, theta, td) and k < n_steps:
+    while not reduce(k, y, fy) and k < n_steps:
         k += 1
-        theta = _rk4_step(f, theta, dt, td)
-        if not np.all(np.isfinite(theta)):
+        y = _rk4_step(f, y, dt, fy)
+        if not np.isfinite(y).all():
             raise DivergenceError(step=k, time=k * dt)
-        td = f(theta)
+        fy = f(y)
     return k
 
 
@@ -231,14 +252,14 @@ def simulate_many(
     ``theta0s`` has shape (N, m), one column per trajectory. All runs share
     the time grid; with ``stop_on_sync`` the batch stops once every run has
     held a sustained sync window (runs keep their individual detection
-    times). The RK4 driver hands each step to a reducer that stores it and
-    keeps the sync-window counters. Raises DivergenceError naming the step
-    if any state goes non-finite.
+    times). A reducer on the RK4 driver stores each step and keeps the
+    sync-window counters; the trajectories view columns of the one stored
+    batch. Raises DivergenceError naming the step if a state goes non-finite.
     """
     theta0s = np.asarray(theta0s, dtype=float)
-    if theta0s.ndim != 2:
-        raise ValueError("theta0s must have shape (N, m)")
-    theta0s, n_steps = _validate_grid(theta0s, net, t_end, dt)
+    if theta0s.ndim != 2 or theta0s.shape[0] != net.n_oscillators:
+        raise ValueError(f"theta0s must have shape ({net.n_oscillators}, m)")
+    theta0s, n_steps = _validate_grid(theta0s, t_end, dt)
     m = theta0s.shape[1]
     window_steps = max(1, int(round(sync_window / dt)))
 
@@ -259,21 +280,21 @@ def simulate_many(
         sync_step[completed] = k - window_steps + 1
         return stop_on_sync and bool(np.all(sync_step >= 0))
 
-    last = _integrate(net, theta0s, n_steps, dt, store)
+    last = _integrate(_node_field(net), theta0s, n_steps, dt, store)
 
+    if last < n_steps:  # stopped early: keep only the steps taken
+        thetas, dots = thetas[: last + 1].copy(), dots[: last + 1].copy()
+    thetas = _wrap_in_place(thetas)
     times = np.arange(last + 1) * dt
-    out = []
-    for j in range(m):
-        synced = sync_step[j] * dt if sync_step[j] >= 0 else None
-        out.append(
-            Trajectory(
-                times=times,
-                thetas=wrap_phase(thetas[: last + 1, :, j]),
-                theta_dots=dots[: last + 1, :, j].copy(),
-                synchronized_at=synced,
-            )
+    return [
+        Trajectory(
+            times=times,
+            thetas=thetas[:, :, j],
+            theta_dots=dots[:, :, j],
+            synchronized_at=sync_step[j] * dt if sync_step[j] >= 0 else None,
         )
-    return out
+        for j in range(m)
+    ]
 
 
 def vector_field_grid(
@@ -304,25 +325,21 @@ def vector_field_grid(
     b_ = b_.ravel()
 
     if n == 2:
-        g = -(net._b.T @ net._b)[0, 0] * net._k_diag[0] * np.cos(a)
-        return np.column_stack([a, b_, b_, g * b_])
+        # G(x) = -(B^T B) K cos x with B^T B = [[2]]
+        return np.column_stack([a, b_, b_, -2.0 * net._k_diag[0] * np.cos(a) * b_])
 
     i, j = reduced_coords
     if not (0 <= i < j <= 2):
         raise ValueError("reduced_coords must be a pair of distinct edge indices in 0..2")
-    x = np.empty((3, a.size))
-    x[i] = a
-    x[j] = b_
-    k = 3 - i - j  # the remaining edge coordinate
-    # column space of B^T for N=3 is x3 = x2 - x1
-    if k == 2:
-        x[2] = x[1] - x[0]
-    elif k == 1:
-        x[1] = x[0] + x[2]
-    else:
-        x[0] = x[1] - x[2]
-    btb = net._b.T @ net._b
-    dx = (net._b.T @ net.natural_frequencies)[:, None] - btb @ (
-        net._k_diag[:, None] * np.sin(x)
+    # the column space of B^T for N = 3 is the cycle s.X = x1 - x2 + x3 = 0,
+    # so the remaining coordinate is x_k = -s_k s_i x_i - s_k s_j x_j
+    s = np.array([1.0, -1.0, 1.0])
+    k = 3 - i - j
+    x = np.empty((a.size, 3))
+    x[:, i] = a
+    x[:, j] = b_
+    x[:, k] = (-s[k] * s[i]) * a + (-s[k] * s[j]) * b_
+    dx = _edge_diff(net, net.natural_frequencies) - _apply_edge_laplacian(
+        net, net._k_diag * np.sin(x)
     )
-    return np.column_stack([a, b_, dx[i], dx[j]])
+    return np.column_stack([a, b_, dx[:, i], dx[:, j]])

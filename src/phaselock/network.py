@@ -115,10 +115,6 @@ class OscillatorNetwork:
         """Oriented complete-graph incidence matrix, built on first use."""
         return _freeze(incidence_matrix(self.n_oscillators))
 
-    @cached_property
-    def _b(self) -> np.ndarray:
-        return _freeze(self.incidence.astype(float))
-
     @property
     def n_edges(self) -> int:
         return edge_count(self.n_oscillators)

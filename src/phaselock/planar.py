@@ -10,6 +10,7 @@ The trapping region G is bounded above by K(1 - sin x1) and below by
 -K(1 + sin x1) for x1 in (-pi/2, pi/2); trajectories cannot leave it.
 Slope intervals bound the directions the field can take near an
 equilibrium (a, 0), which is what the nontangency test inspects.
+Trajectories use the network RK4 driver, which raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _integrate, _validate_grid
 from .errors import OutOfDomainError
 
 __all__ = [
@@ -72,9 +74,10 @@ class SlopeInterval:
 def planar_field(x, p: PlanarParams) -> np.ndarray:
     """Field (x2, -K x2 cos x1); accepts a single (2,) state or an (m, 2) batch."""
     x = np.asarray(x, dtype=float)
-    x1 = x[..., 0]
-    x2 = x[..., 1]
-    return np.stack([x2, -p.k * x2 * np.cos(x1)], axis=-1)
+    out = np.empty_like(x)
+    out[..., 0] = x[..., 1]
+    out[..., 1] = -p.k * x[..., 1] * np.cos(x[..., 0])
+    return out
 
 
 def region_g_boundary(x1: float, p: PlanarParams, side: str) -> float:
@@ -195,20 +198,15 @@ def simulate_planar(p: PlanarParams, x0, t_end: float, dt: float = 0.01):
     """RK4 trajectory of the planar field from x0, one state per row.
 
     ``x0`` is (2,) or (m, 2); returns (times, states) with states of shape
-    (T, 2) or (T, m, 2).
+    (T, 2) or (T, m, 2). Raises ValueError for a non-finite x0, dt or t_end
+    and DivergenceError naming the step if a state goes non-finite.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if not (dt > 0 and t_end >= dt):
-        raise ValueError("need dt > 0 and t_end >= dt")
-    n_steps = max(1, int(round(t_end / dt)))
+    x0, n_steps = _validate_grid(x0, t_end, dt)
     out = np.empty((n_steps + 1,) + x0.shape)
-    out[0] = x0
-    x = x0.copy()
-    for k in range(1, n_steps + 1):
-        k1 = planar_field(x, p)
-        k2 = planar_field(x + 0.5 * dt * k1, p)
-        k3 = planar_field(x + 0.5 * dt * k2, p)
-        k4 = planar_field(x + dt * k3, p)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def store(k, x, _):
         out[k] = x
+        return False
+
+    _integrate(lambda x: planar_field(x, p), x0, n_steps, dt, store)
     return np.arange(n_steps + 1) * dt, out

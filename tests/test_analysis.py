@@ -21,7 +21,9 @@ from phaselock import (
     attracting_set_check,
     classify_stability,
     coupling_bounds,
+    g_matrix,
     in_set_h,
+    incidence_matrix,
     invariance_certificate,
     linearize,
     lyapunov_v2_along,
@@ -35,6 +37,7 @@ from phaselock import (
     wrap_phase,
 )
 from phaselock.analysis import RANK_TOL, onset_lower_bounds
+from phaselock.dynamics import SYNC_TOL
 
 CHAIN = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
 
@@ -524,7 +527,7 @@ def test_analysis_at_n200_leaves_the_incidence_unbuilt():
 @given(edge_cases(max_n=12), st.data())
 def test_edge_views_match_the_dense_incidence(case, data):
     net, x = case
-    n, b = net.n_oscillators, net._b
+    n, b = net.n_oscillators, net.incidence.astype(float)
     btb = b.T @ b
     theta = data.draw(arrays(float, (3, n), elements=st.floats(-10.0, 10.0)))
     traj = Trajectory(times=np.arange(3.0), thetas=wrap_phase(theta), theta_dots=theta)
@@ -550,6 +553,16 @@ def test_edge_views_match_the_dense_incidence(case, data):
     if residual > 1e-6 or residual < 1e-12:
         member = in_set_h(EdgeState(x, np.zeros_like(x)), net)
         assert member.in_colspace == (residual < 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_cases(max_n=12))
+def test_g_matrix_matches_the_dense_incidence(case):
+    net, x = case
+    b = incidence_matrix(net.n_oscillators).astype(float)
+    dense = -(b.T @ b) @ np.diag(net.coupling_diag * np.cos(x))
+    assert np.array_equal(g_matrix(x, net), dense)
+    assert np.array_equal(linearize(net, x)[net.n_edges:, net.n_edges:], dense)
 
 
 def test_in_set_h_at_n200_stays_small():
@@ -652,3 +665,38 @@ def test_certificate_peak_memory_at_n10_stays_below_8mb():
         tracemalloc.stop()
     assert report.passed
     assert peak < 8e6, f"certificate peak {peak / 1e6:.1f} MB"
+
+
+# A sync verdict means the frequency differences die out: with every gain
+# at 1.5x its sufficient threshold the box is invariant, so along a run
+# started in it V2 = |V|^2 / 2 never grows and is below SYNC_TOL^2 once the
+# sync window closes.
+
+
+@st.composite
+def sync_cases(draw):
+    """A complete graph on N = 2..6 with distinct frequencies, gains at 1.5x
+    the per-edge thresholds, and phases spread less than pi/2."""
+    n = draw(st.integers(2, 6))
+    gaps = draw(arrays(float, n - 1, elements=st.floats(0.1, 1.0)))
+    omega = np.concatenate([[0.0], np.cumsum(gaps)]) + draw(st.floats(-5.0, 5.0))
+    omega = draw(st.permutations(list(omega)))
+    bounds = sufficient_gain_bounds(OscillatorNetwork(n, omega, np.ones(n * (n - 1) // 2)))
+    net = OscillatorNetwork(n, omega, 1.5 * bounds)
+    theta0 = draw(arrays(float, n, elements=st.floats(0.0, 1.5))) + draw(st.floats(-3.0, 3.0))
+    return net, theta0
+
+
+@settings(max_examples=25, deadline=None)
+@given(sync_cases())
+def test_sync_verdict_means_the_frequency_differences_vanish(case):
+    net, theta0 = case
+    traj = simulate(net, theta0, 200.0, 0.01, stop_on_sync=True)
+    assert traj.synchronized_at is not None
+    v2, _ = lyapunov_v2_along(traj, net)
+    # round-off in each edge frequency difference is a few ulps of the
+    # largest rate, so |V| may wobble by that much and V2 by |V| times it
+    scale = 1.0 + np.max(np.abs(net.natural_frequencies)) + np.max(net.coupling_gains)
+    speed = np.sqrt(2.0 * v2)
+    assert np.all(np.diff(v2) <= 1e-13 * scale * (speed[1:] + speed[:-1]))
+    assert v2[-1] < SYNC_TOL**2

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import phaselock.cli
 from phaselock import OscillatorNetwork, write_network
 from phaselock.cli import RunConfig, main
 
@@ -192,6 +193,20 @@ def test_portrait_two_oscillators_emits_planar_files(pair_file, tmp_path):
     cones = (out / "cones.csv").read_text().splitlines()
     assert cones[0] == "a,lo_slope,hi_slope,nontangent"
     assert all(row.endswith(",1") for row in cones[1:])
+
+
+@pytest.mark.parametrize("fixture", ["pair_file", "chain_file"])
+def test_portrait_leaves_the_incidence_unbuilt(fixture, request, tmp_path, monkeypatch):
+    parsed, parse = [], phaselock.cli.parse_network
+
+    def parse_and_keep(path):
+        parsed.append(parse(path))
+        return parsed[-1]
+
+    monkeypatch.setattr(phaselock.cli, "parse_network", parse_and_keep)
+    path = request.getfixturevalue(fixture)
+    assert main(["portrait", "--network", str(path), "--out", str(tmp_path)]) == 0
+    assert len(parsed) == 1 and "incidence" not in parsed[0].__dict__
 
 
 def test_experiment_three_chain(tmp_path, capsys):

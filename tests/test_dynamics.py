@@ -1,5 +1,7 @@
 """Node dynamics, edge transform, integration, and field-grid tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from phaselock import (
     edge_transform,
     g_matrix,
     incidence_matrix,
+    linearize,
     simulate,
     simulate_many,
     theta_dot,
@@ -285,6 +288,31 @@ def test_simulation_leaves_the_incidence_unbuilt():
     assert b.dtype == np.int64 and not b.flags.writeable
 
 
+def test_simulate_many_peak_memory_at_n10_stays_below_4_5mb():
+    # 40 columns of 501 stored steps at N = 10 are 1.6 MB of phases and
+    # 1.6 MB of fields; the gate fails if either is held twice
+    rng = np.random.default_rng(10)
+    net = random_network(10, rng)
+    theta0s = rng.uniform(-1.0, 1.0, (10, 40))
+    tracemalloc.start()
+    try:
+        trajectories = simulate_many(net, theta0s, 5.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trajectories) == 40 and trajectories[0].n_steps == 500
+    assert peak < 4.5e6, f"simulate_many peak {peak / 1e6:.2f} MB"
+
+
+def test_early_stop_holds_only_the_steps_taken():
+    net = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
+    traj = simulate(net, [0.2, 0.3, -0.1], 200.0, 0.01, stop_on_sync=True)
+    assert traj.synchronized_at is not None and traj.n_steps < 20000
+    for a in (traj.thetas, traj.theta_dots):
+        held = a if a.base is None else a.base
+        assert held.nbytes == a.nbytes
+
+
 def test_simulate_many_matches_single_runs():
     rng = np.random.default_rng(17)
     net = random_network(3, rng)
@@ -320,6 +348,41 @@ def test_vector_field_grid_three_oscillators_matches_reduced_equations():
     x1, x2 = rows[:, 0], rows[:, 1]
     assert np.max(np.abs(rows[:, 2] - (-1 - 6 * np.sin(x1) - 2 * np.sin(x2)))) < 1e-12
     assert np.max(np.abs(rows[:, 3] - (-2 - 3 * np.sin(x1) - 4 * np.sin(x2)))) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    arrays(float, 3, elements=st.floats(-5.0, 5.0)),
+    arrays(float, 3, elements=st.one_of(st.just(0.0), st.floats(0.0, 20.0))),
+    st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+)
+def test_vector_field_grid_three_oscillators_matches_the_dense_formula(omega, gains, coords):
+    net = OscillatorNetwork(3, omega, gains)
+    rows = vector_field_grid(net, reduced_coords=coords, resolution=7)
+    b = incidence_matrix(3).astype(float)
+    btb = b.T @ b
+    i, j = coords
+    x = np.empty((len(rows), 3))
+    x[:, i], x[:, j] = rows[:, 0], rows[:, 1]
+    k = 3 - i - j
+    x[:, k] = {2: x[:, 1] - x[:, 0], 1: x[:, 0] + x[:, 2], 0: x[:, 1] - x[:, 2]}[k]
+    dense = (b.T @ omega)[None, :] - (gains / 3 * np.sin(x)) @ btb.T
+    tol = 1e-14 * (1.0 + np.max(np.abs(omega)) + np.sum(gains))
+    assert np.max(np.abs(rows[:, 2:] - dense[:, [i, j]])) <= tol
+
+
+def test_edge_views_leave_the_incidence_unbuilt():
+    rng = np.random.default_rng(23)
+    for n in (2, 3, 6):
+        net = random_network(n, rng, connected=False)
+        x = rng.uniform(-np.pi, np.pi, net.n_edges)
+        g_matrix(x, net)
+        linearize(net, x)
+        if n <= 3:
+            vector_field_grid(net, resolution=5)
+        if n == 3:
+            vector_field_grid(net, reduced_coords=(1, 2), resolution=5)
+        assert "incidence" not in net.__dict__
 
 
 def test_vector_field_grid_fixed_point_of_bundled_chain():

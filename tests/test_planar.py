@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phaselock import (
+    DivergenceError,
     OscillatorNetwork,
     OutOfDomainError,
     PlanarParams,
@@ -89,6 +93,69 @@ def test_upper_boundary_is_invariant_level_set():
     _, states = simulate_planar(p, np.array([0.0, p.k]), 10.0, 0.01)
     drift = states[:, 1] + p.k * np.sin(states[:, 0]) - p.k
     assert np.max(np.abs(drift)) < 1e-6
+
+
+def planar_rk4_oracle(p, x0, t_end, dt):
+    """The planar RK4 loop as it stood before it moved onto the shared
+    driver, with the field written out as (x2, -K x2 cos x1)."""
+
+    def field(x):
+        return np.stack([x[..., 1], -p.k * x[..., 1] * np.cos(x[..., 0])], axis=-1)
+
+    n_steps = max(1, int(round(t_end / dt)))
+    out = np.empty((n_steps + 1,) + x0.shape)
+    out[0] = x0
+    x = x0.copy()
+    for k in range(1, n_steps + 1):
+        k1 = field(x)
+        k2 = field(x + 0.5 * dt * k1)
+        k3 = field(x + 0.5 * dt * k2)
+        k4 = field(x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[k] = x
+    return np.arange(n_steps + 1) * dt, out
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(0.01, 20.0),
+    st.floats(-5.0, 5.0),
+    st.one_of(
+        arrays(float, 2, elements=st.floats(-4.0, 4.0)),
+        arrays(float, st.tuples(st.integers(1, 6), st.just(2)), elements=st.floats(-4.0, 4.0)),
+    ),
+    st.floats(0.05, 3.0),
+    st.sampled_from([0.01, 0.02, 0.05]),
+)
+def test_simulate_planar_matches_the_loop_it_replaced(k, dw, x0, t_end, dt):
+    p = PlanarParams(k=k, delta_omega=dw)
+    times, states = simulate_planar(p, x0, t_end, dt)
+    ref_times, ref_states = planar_rk4_oracle(p, x0, t_end, dt)
+    assert np.array_equal(times, ref_times)
+    assert states.shape == ref_states.shape
+    assert states.tobytes() == ref_states.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x0,t_end,dt",
+    [
+        ((0.1, 0.2), np.inf, 0.01),
+        ((0.1, 0.2), np.nan, 0.01),
+        ((0.1, 0.2), 1.0, np.inf),
+        ((np.nan, 0.2), 1.0, 0.01),
+        ([[0.1, 0.2], [0.3, np.inf]], 1.0, 0.01),
+    ],
+)
+def test_simulate_planar_rejects_non_finite_inputs(x0, t_end, dt):
+    with pytest.raises(ValueError):
+        simulate_planar(P1, x0, t_end, dt)
+
+
+def test_stiff_planar_run_raises_divergence():
+    p = PlanarParams(k=1e6, delta_omega=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError):
+            simulate_planar(p, np.array([0.1, 1.0]), 1.0, 0.01)
 
 
 def test_direction_cone_degenerate_at_zero():
