@@ -2,15 +2,18 @@
 
 Subcommands: simulate, analyze, bounds, invariance, portrait, experiment.
 CSV and JSON outputs carry 15 significant digits and are byte-identical
-across runs with the same configuration and seed. Exit codes: 0 on success
-or certificate pass, 2 on a failed certificate or experiment verification,
-1 on errors.
+across runs with the same configuration and seed. One payload builder per
+result type hands ``tables.write_json`` the result arrays as they are
+(gain thresholds, equilibrium, eigenvalues as (2e, 2) real/imaginary
+rows), and the writer formats them in bulk. The argument parser is built
+once per process. Exit codes: 0 on success or certificate pass, 2 on a
+failed certificate or experiment verification, 1 on errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +32,7 @@ from .errors import (
 )
 from .experiments import EXPERIMENT_IDS, run_experiment
 from .netfile import parse_network
-from .tables import write_csv, write_trajectory
+from .tables import write_csv, write_json, write_trajectory
 
 __all__ = ["RunConfig", "main"]
 
@@ -76,21 +79,6 @@ def _config_from_args(args) -> RunConfig:
     )
 
 
-def _round15(value):
-    """Round floats to 15 significant digits for stable JSON output."""
-    if isinstance(value, float):
-        return float(f"{value:.15g}")
-    if isinstance(value, dict):
-        return {k: _round15(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_round15(v) for v in value]
-    return value
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(_round15(payload), indent=2, sort_keys=True) + "\n")
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -116,9 +104,9 @@ def _cmd_simulate(config: RunConfig, args) -> int:
 def _bounds_payload(net, delta: float) -> dict:
     bounds = analysis.coupling_bounds(net, delta=delta)
     return {
-        "per_edge_sufficient": bounds.per_edge_sufficient.tolist(),
+        "per_edge_sufficient": bounds.per_edge_sufficient,
         "uniform_k0": bounds.uniform_k0,
-        "onset_lower": bounds.onset_lower.tolist(),
+        "onset_lower": bounds.onset_lower,
         "attracting_margin": bounds.attracting_margin,
         "attracting_satisfied": bounds.attracting_satisfied,
     }
@@ -133,8 +121,9 @@ def _analysis_payload(net, delta: float, guess=None) -> dict:
     try:
         x_star = analysis.solve_equilibrium(net, theta_guess=guess)
         report = analysis.classify_stability(net, x_star)
-        payload["equilibrium"] = x_star.tolist()
-        payload["eigenvalues"] = [[z.real, z.imag] for z in report.eigenvalues]
+        payload["equilibrium"] = x_star
+        eigs = report.eigenvalues
+        payload["eigenvalues"] = np.column_stack([eigs.real, eigs.imag])
         payload["classification"] = report.classification
         payload["n_zero_eigenvalues"] = report.n_zero
     except (NoEquilibriumError, SingularJacobianError) as exc:
@@ -143,6 +132,19 @@ def _analysis_payload(net, delta: float, guess=None) -> dict:
         payload["classification"] = None
         payload["equilibrium_error"] = str(exc)
     return payload
+
+
+# InvarianceReport fields written by `invariance`, and the subset that
+# `analyze --certify` writes
+_INVARIANCE_KEYS = (
+    "passed", "bounds_met", "n_samples", "n_stayed", "fraction",
+    "horizon", "dt", "margin", "seed",
+)
+_ANALYZE_CERT_KEYS = ("passed", "bounds_met", "n_samples", "n_stayed", "fraction", "seed")
+
+
+def _invariance_payload(report, keys) -> dict:
+    return {"invariance": {key: getattr(report, key) for key in keys}}
 
 
 def _cmd_analyze(config: RunConfig, args) -> int:
@@ -156,17 +158,8 @@ def _cmd_analyze(config: RunConfig, args) -> int:
         certificate = analysis.invariance_certificate(
             net, n_samples=args.samples, horizon=config.t_end, seed=config.seed
         )
-        payload["certificates"] = {
-            "invariance": {
-                "passed": certificate.passed,
-                "bounds_met": certificate.bounds_met,
-                "n_samples": certificate.n_samples,
-                "n_stayed": certificate.n_stayed,
-                "fraction": certificate.fraction,
-                "seed": certificate.seed,
-            }
-        }
-    _write_json(_out_dir(args) / "report.json", payload)
+        payload["certificates"] = _invariance_payload(certificate, _ANALYZE_CERT_KEYS)
+    write_json(_out_dir(args) / "report.json", payload)
     if certificate is not None and not certificate.passed:
         return 2
     return 0
@@ -174,7 +167,7 @@ def _cmd_analyze(config: RunConfig, args) -> int:
 
 def _cmd_bounds(config: RunConfig, args) -> int:
     net = parse_network(config.network_path)
-    _write_json(_out_dir(args) / "bounds.json", _bounds_payload(net, args.delta))
+    write_json(_out_dir(args) / "bounds.json", _bounds_payload(net, args.delta))
     return 0
 
 
@@ -188,22 +181,8 @@ def _cmd_invariance(config: RunConfig, args) -> int:
         margin=args.margin,
         seed=config.seed,
     )
-    payload = {
-        "certificates": {
-            "invariance": {
-                "passed": report.passed,
-                "bounds_met": report.bounds_met,
-                "n_samples": report.n_samples,
-                "n_stayed": report.n_stayed,
-                "fraction": report.fraction,
-                "horizon": report.horizon,
-                "dt": report.dt,
-                "margin": report.margin,
-                "seed": report.seed,
-            }
-        }
-    }
-    _write_json(_out_dir(args) / "invariance.json", payload)
+    payload = {"certificates": _invariance_payload(report, _INVARIANCE_KEYS)}
+    write_json(_out_dir(args) / "invariance.json", payload)
     if not report.passed:
         print(
             f"invariance certificate FAILED: {report.n_stayed}/{report.n_samples} "
@@ -258,7 +237,7 @@ def _cmd_portrait(config: RunConfig, args) -> int:
 
 def _cmd_experiment(config: RunConfig, args) -> int:
     result = run_experiment(config.experiment_id, out_dir=config.output_dir)
-    _write_json(_out_dir(args) / "report.json", result.report)
+    write_json(_out_dir(args) / "report.json", result.report)
     if not result.passed:
         print(f"experiment {result.experiment_id} verification FAILED:", file=sys.stderr)
         for line in result.failures:
@@ -327,9 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args leaves the parser unchanged, so one serves every call in the process
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _config_from_args(args)
         return args.func(config, args)

@@ -11,7 +11,6 @@ the two forms is rejected.
 from __future__ import annotations
 
 import json
-import numbers
 from pathlib import Path
 
 from .errors import NetworkFileError
@@ -23,9 +22,24 @@ _TOP_LEVEL_FIELDS = {"n", "omega", "coupling"}
 
 
 def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # JSON numbers parse to exactly int or float; bool is neither
+    if type(value) is not float and type(value) is not int:
         raise NetworkFileError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise NetworkFileError(f"{where}: number out of range") from None
+
+
+def _numbers(entries: list, name: str) -> list[float]:
+    """Convert a list of JSON numbers in one pass; only a bad list is
+    walked again, to name its first bad entry."""
+    if {*map(type, entries)} <= {float, int}:
+        try:
+            return [float(v) for v in entries]
+        except OverflowError:
+            pass
+    return [_require_number(v, f"{name}[{idx}]") for idx, v in enumerate(entries)]
 
 
 def _dense_coupling(entries: list, n: int) -> list[float]:
@@ -34,7 +48,7 @@ def _dense_coupling(entries: list, n: int) -> list[float]:
         raise NetworkFileError(
             f"coupling: dense form needs {e} entries for n = {n}, got {len(entries)}"
         )
-    return [_require_number(v, f"coupling[{idx}]") for idx, v in enumerate(entries)]
+    return _numbers(entries, "coupling")
 
 
 def _sparse_coupling(entries: list, n: int) -> list[float]:
@@ -87,13 +101,13 @@ def parse_network(path) -> OscillatorNetwork:
     omega = raw["omega"]
     if not isinstance(omega, list) or len(omega) != n:
         raise NetworkFileError(f"{path}: field 'omega' must be a list of {n} numbers")
-    omega = [_require_number(v, f"omega[{idx}]") for idx, v in enumerate(omega)]
+    omega = _numbers(omega, "omega")
 
     coupling = raw["coupling"]
     if not isinstance(coupling, list) or not coupling:
         raise NetworkFileError(f"{path}: field 'coupling' must be a non-empty list")
-    dense = all(not isinstance(v, dict) for v in coupling)
-    sparse = all(isinstance(v, dict) for v in coupling)
+    kinds = {*map(type, coupling)}
+    dense, sparse = dict not in kinds, kinds == {dict}
     if not dense and not sparse:
         raise NetworkFileError(
             f"{path}: coupling mixes the dense array and edge-record forms"

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_tables import oracle_json
 
 import phaselock.cli
 from phaselock import OscillatorNetwork, write_network
@@ -324,3 +326,75 @@ def test_non_finite_step_is_an_error(chain_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def _k200_file(tmp_path):
+    n = 200
+    path = tmp_path / "k200.json"
+    write_network(OscillatorNetwork(n, np.linspace(-1.0, 1.0, n), np.full(n * (n - 1) // 2, 300.0)), path)
+    return path
+
+
+def test_analyze_at_n200_peaks_below_16_mb(tmp_path):
+    path = _k200_file(tmp_path)
+    argv = ["analyze", "--network", str(path), "--out", str(tmp_path)]
+    assert main(argv) == 0  # first call pays the one-off imports and parser build
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"analyze peak {peak / 1e6:.2f} MB"
+
+
+def test_parser_survives_an_argparse_error(pair_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--network", str(pair_file), "--horizon", "3"])
+    assert exc.value.code == 2
+    assert "--horizon" in capsys.readouterr().err
+    assert main(["bounds", "--network", str(pair_file), "--out", str(tmp_path / "same")]) == 0
+    fresh = [sys.executable, "-m", "phaselock.cli", "bounds", "--network", str(pair_file)]
+    subprocess.run([*fresh, "--out", str(tmp_path / "fresh")], check=True)
+    same = (tmp_path / "same" / "bounds.json").read_bytes()
+    assert same == (tmp_path / "fresh" / "bounds.json").read_bytes()
+
+
+def _fixpoint_networks():
+    """Ten small networks with gains 0.3-1.5x their per-edge thresholds (some
+    find no equilibrium, some fail the certificate, some lack an edge) and
+    a complete graph at N = 40."""
+    rng = np.random.default_rng(66)
+    nets = []
+    for n in (2, 2, 3, 3, 4, 5, 5, 6, 7, 8):
+        omega = rng.uniform(-2.0, 2.0, n)
+        i, j = np.triu_indices(n, 1)
+        gains = 0.5 * n * np.abs(omega[i] - omega[j]) * rng.uniform(0.3, 1.5, i.size)
+        if n in (3, 5):
+            gains[rng.integers(i.size)] = 0.0
+        nets.append(OscillatorNetwork(n, omega, gains))
+    omega = rng.uniform(-1.0, 1.0, 40)
+    i, j = np.triu_indices(40, 1)
+    nets.append(OscillatorNetwork(40, omega, 0.6 * 40 * np.abs(omega[i] - omega[j])))
+    return nets
+
+
+def test_every_json_output_is_the_oracle_fixpoint(tmp_path):
+    runs = [["experiment", "three_chain"], ["experiment", "five_network"]]
+    for idx, net in enumerate(_fixpoint_networks()):
+        path = tmp_path / f"net{idx}.json"
+        write_network(net, path)
+        net_runs = [["analyze"], ["bounds"]]
+        if net.n_oscillators <= 8:
+            short = ["--samples", "10", "--t-end", "2", "--seed", str(idx)]
+            net_runs += [["analyze", "--certify", *short], ["invariance", *short]]
+        runs += [[*argv, "--network", str(path)] for argv in net_runs]
+    written = []
+    for idx, argv in enumerate(runs):
+        out = tmp_path / f"out{idx}"
+        assert main([*argv, "--out", str(out)]) in (0, 2)
+        written += sorted(out.glob("*.json"))
+    assert len(written) == len(runs)
+    for path in written:
+        text = path.read_text()
+        assert text == oracle_json(json.loads(text)), path

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from phaselock import NetworkFileError, OscillatorNetwork, parse_network, write_network
+from phaselock.cli import main
 
 
 def write_raw(tmp_path, payload, name="net.json"):
@@ -126,3 +127,40 @@ def test_write_then_parse_round_trips(net):
     # bit for bit, so the sign of a zero survives too
     assert back.natural_frequencies.tobytes() == net.natural_frequencies.tobytes()
     assert back.coupling_gains.tobytes() == net.coupling_gains.tobytes()
+
+
+_BAD_NUMBERS = [
+    pytest.param(True, "expected a number, got True", id="bool"),
+    pytest.param("1.0", "expected a number, got '1.0'", id="string"),
+    pytest.param(None, "expected a number, got None", id="null"),
+    pytest.param(10**400, "number out of range", id="huge-int"),
+]
+_DENSE3 = {"n": 3, "omega": [1, 2, 3], "coupling": [9, 6, 0]}
+
+
+def _with_bad(field, bad):
+    """The three-oscillator chain with ``bad`` at index 1 of one field."""
+    payload = json.loads(json.dumps(_DENSE3))
+    if field == "k":
+        payload["coupling"] = [{"i": 1, "j": 2, "k": 9}, {"i": 2, "j": 3, "k": bad}]
+    else:
+        payload[field][1] = bad
+    return payload
+
+
+@pytest.mark.parametrize("bad,message", _BAD_NUMBERS)
+@pytest.mark.parametrize(
+    "field,where", [("omega", "omega[1]"), ("coupling", "coupling[1]"), ("k", "coupling[1].k")]
+)
+def test_parse_names_the_bad_number(tmp_path, field, where, bad, message):
+    path = write_raw(tmp_path, _with_bad(field, bad))
+    with pytest.raises(NetworkFileError) as exc:
+        parse_network(path)
+    assert f"{where}: {message}" in str(exc.value)
+
+
+def test_cli_reports_an_out_of_range_number_in_one_line(tmp_path, capsys):
+    path = write_raw(tmp_path, _with_bad("omega", 10**400))
+    assert main(["bounds", "--network", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: omega[1]: number out of range\n"

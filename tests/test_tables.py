@@ -1,17 +1,19 @@
-"""The CSV writer against the per-value writer it replaced."""
+"""The CSV and JSON writers against the per-value writers they replaced."""
 
+import json
 import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from phaselock import OscillatorNetwork, simulate
 from phaselock.planar import PlanarParams, direction_cone_estimate, nontangency_planar
-from phaselock.tables import write_csv, write_trajectory
+from phaselock.tables import write_csv, write_json, write_trajectory
 
 
 def _per_value_csv(path, header, rows):
@@ -77,3 +79,78 @@ def test_trajectory_file_matches_the_per_value_writer(tmp_path):
     rows = np.column_stack([traj.times, traj.thetas, traj.theta_dots])
     _per_value_csv(tmp_path / "old.csv", header, rows)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# ---------------------------------------------------------------- JSON writer
+
+
+def _round15(value):
+    """The per-value rounding the JSON writer replaced; arrays enter as lists."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, float):
+        return float(f"{value:.15g}")
+    if isinstance(value, dict):
+        return {k: _round15(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round15(v) for v in value]
+    return value
+
+
+def oracle_json(payload) -> str:
+    """What the CLI wrote before ``write_json``: round, then the stdlib encoder."""
+    return json.dumps(_round15(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _written(tmp, payload) -> str:
+    path = Path(tmp) / "out.json"
+    write_json(path, payload)
+    return path.read_text()
+
+
+JSON_SPECIAL = SPECIAL + [
+    1e-5, 2.0, -7.0, 1e15 - 0.1, 1.5e15, 9.999999999999999e-5, 1e22,
+    1e-310, -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]
+_json_floats = st.one_of(st.sampled_from(JSON_SPECIAL), st.floats())
+_json_scalars = st.one_of(
+    _json_floats, st.integers(-(10**20), 10**20), st.booleans(), st.none(), st.text(max_size=6)
+)
+_json_arrays = st.one_of(
+    arrays(float, st.integers(0, 12), elements=_json_floats),
+    arrays(float, st.tuples(st.integers(0, 8), st.just(2)), elements=_json_floats),
+)
+_json_payloads = st.recursive(
+    st.one_of(_json_scalars, _json_arrays),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+def test_special_values_match_the_json_oracle(tmp_path):
+    flat = np.array(JSON_SPECIAL)
+    payload = {
+        "flat": flat,
+        "pairs": flat.reshape(-1, 2),
+        "list": list(JSON_SPECIAL),
+        "empty": [np.zeros(0), np.zeros((0, 2)), [], (), {}],
+        "scalars": [0, -3, True, False, None, "ñ→\U0001f600", (1.5, -0.0)],
+        "ключ": {"z": 1.0, "a": {"é": np.array([[1.0, -0.0]])}},
+    }
+    assert _written(tmp_path, payload) == oracle_json(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_payloads)
+def test_random_payloads_match_the_json_oracle(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _written(tmp, payload) == oracle_json(payload)
+
+
+def test_write_json_rejects_non_float_arrays(tmp_path):
+    with pytest.raises(TypeError, match="float arrays"):
+        write_json(tmp_path / "out.json", {"a": np.arange(3)})
