@@ -27,6 +27,7 @@ from .dynamics import (
     Trajectory,
     _apply_edge_laplacian,
     _edge_diff,
+    _edge_field,
     _integrate,
     _node_field,
     _validate_grid,
@@ -72,6 +73,11 @@ UNSTABLE = "unstable"
 INDETERMINATE = "indeterminate"
 
 RANK_TOL = 1e-10  # relative singular-value cutoff for rank decisions
+NEWTON_MAX_ITER = 100  # Newton iterations before NoEquilibriumError
+ZERO_TOL = 1e-9  # eigenvalue cutoff for "negligible", relative to |A|_2
+COLSPACE_TOL = 1e-9  # set H: 2-norm distance of X from the column space
+CONSISTENCY_TOL = 1e-9  # set H: max-norm mismatch of V with the identity
+MAX_BOX_DRAWS = 100_000  # rejection-sampler budget of the certificate
 
 
 def _edge_frequency_mismatch(net: OscillatorNetwork) -> np.ndarray:
@@ -201,7 +207,6 @@ def solve_equilibrium(
     net: OscillatorNetwork,
     theta_guess=None,
     tol: float = 1e-12,
-    max_iter: int = 100,
 ) -> np.ndarray:
     """Newton-solve B^T omega - B^T B K sin(B^T theta) = 0 for the edge
     phase differences X* = B^T theta*.
@@ -212,7 +217,7 @@ def solve_equilibrium(
     L(X)[:, :-1] step = f - mean(f) in the least-squares sense, which is the
     least-squares step of the edge system. Raises SingularJacobianError when
     the Jacobian drops rank (a cos(x_i) = 0 crossing) and NoEquilibriumError
-    when the residual does not reach ``tol`` within ``max_iter`` iterations,
+    when the residual does not reach ``tol`` within ``NEWTON_MAX_ITER`` iterations,
     which typically means the gains are below critical.
     """
     n = net.n_oscillators
@@ -231,7 +236,7 @@ def solve_equilibrium(
     i, j = net._ends
     scale = max(1.0, float(np.max(net.coupling_gains)))
 
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         x = theta[i] - theta[j]
         f = theta_dot(theta, net)
         if f.max() - f.min() < tol:
@@ -249,7 +254,7 @@ def solve_equilibrium(
         theta[:-1] += vt.T @ ((u.T @ (f - f.mean())) / sv)
 
     raise NoEquilibriumError(
-        f"Newton did not reach |residual| < {tol:g} in {max_iter} iterations; "
+        f"Newton did not reach |residual| < {tol:g} in {NEWTON_MAX_ITER} iterations; "
         "coupling gains may be below critical"
     )
 
@@ -266,14 +271,12 @@ def linearize(net: OscillatorNetwork, x_star) -> np.ndarray:
     return a
 
 
-def classify_stability(
-    net: OscillatorNetwork, x_star, tol_zero: float = 1e-9
-) -> StabilityReport:
+def classify_stability(net: OscillatorNetwork, x_star) -> StabilityReport:
     """Classify the equilibrium from the linearization spectrum.
 
     The spectrum of A = [[0, I], [0, G(X*)]] is 2e - (N-1) exact zeros plus
     the N-1 real eigenvalues of -L(X*) on the complement of the ones vector
-    (``g_restricted_eigenvalues``). ``tol_zero`` is relative to
+    (``g_restricted_eigenvalues``). ``ZERO_TOL`` is relative to
     |A|_2 = sqrt(1 + N lambda_max(L((k cos X*)^2))).
 
     semistable-candidate: X* inside the open half-circle box, every
@@ -291,7 +294,7 @@ def classify_stability(
     restricted = -spec[::-1]
     expected_zeros = 2 * e - (n - 1)
     eigs = np.sort(np.concatenate([np.zeros(expected_zeros), restricted])).astype(complex)
-    tol_abs = tol_zero * np.sqrt(1.0 + n * spec_sq[-1])
+    tol_abs = ZERO_TOL * np.sqrt(1.0 + n * spec_sq[-1])
 
     n_zero = int(np.sum(np.abs(eigs) < tol_abs))
     any_positive = bool(np.any(eigs.real > tol_abs))
@@ -343,12 +346,7 @@ def _set_h_inequality(net: OscillatorNetwork, sin_abs_x: np.ndarray) -> np.ndarr
     return rhs - lhs
 
 
-def in_set_h(
-    state: EdgeState,
-    net: OscillatorNetwork,
-    colspace_tol: float = 1e-9,
-    consistency_tol: float = 1e-9,
-) -> SetHMembership:
+def in_set_h(state: EdgeState, net: OscillatorNetwork) -> SetHMembership:
     """Membership of an edge state in the invariant set.
 
     Requires every |x_i| < pi/2, X in the column space of B^T, V matching
@@ -363,11 +361,8 @@ def in_set_h(
     in_box = bool(np.all(np.abs(x) < np.pi / 2))
     # projector onto Col(B^T) is B^T B / N for the complete-graph incidence
     residual = x - _apply_edge_laplacian(net, x) / net.n_oscillators
-    in_colspace = bool(np.linalg.norm(residual) <= colspace_tol)
-    v_expected = _edge_diff(net, net.natural_frequencies) - _apply_edge_laplacian(
-        net, net._k_diag * np.sin(x)
-    )
-    v_consistent = bool(np.max(np.abs(v - v_expected)) <= consistency_tol)
+    in_colspace = bool(np.linalg.norm(residual) <= COLSPACE_TOL)
+    v_consistent = bool(np.max(np.abs(v - _edge_field(net, x))) <= CONSISTENCY_TOL)
     slack = _set_h_inequality(net, np.sin(np.abs(x)))
     return SetHMembership(
         in_set=in_box and in_colspace and v_consistent and bool(np.all(slack >= 0.0)),
@@ -454,7 +449,6 @@ def _sample_box_states(
     n_samples: int,
     margin: float,
     rng: np.random.Generator,
-    max_draws: int = 100_000,
 ) -> np.ndarray:
     """Rejection-sample node phases whose edge differences fill the shrunken
     box |x_i| < pi/2 - margin; returns shape (N, n_samples)."""
@@ -465,11 +459,11 @@ def _sample_box_states(
     drawn = 0
     n = net.n_oscillators
     while sum(a.shape[1] for a in accepted) < n_samples:
-        if drawn >= max_draws:
+        if drawn >= MAX_BOX_DRAWS:
             raise SamplingInfeasibleError(
-                f"could not draw {n_samples} box states in {max_draws} samples"
+                f"could not draw {n_samples} box states in {MAX_BOX_DRAWS} samples"
             )
-        chunk = min(20_000, max_draws - drawn)
+        chunk = min(20_000, MAX_BOX_DRAWS - drawn)
         drawn += chunk
         theta = rng.uniform(-np.pi / 2, np.pi / 2, size=(n, chunk))
         ok = np.ptp(theta, axis=0) < half_width
@@ -524,6 +518,9 @@ def invariance_certificate(
     per-sample verdict, so memory is O(N n_samples) whatever the horizon;
     with it the trajectories are stored and judged by the same test.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    n_steps = _validate_grid(horizon, dt)
     rng = np.random.default_rng(seed)
     bounds_met = bool(np.all(net.coupling_gains >= sufficient_gain_bounds(net) - 1e-12))
     theta0s = _sample_box_states(net, n_samples, margin, rng)
@@ -534,7 +531,6 @@ def invariance_certificate(
         stayed = np.array([_stays_in_box(net, t.thetas.T).all() for t in trajectories])
     else:
         trajectories = []
-        theta0s, n_steps = _validate_grid(theta0s, horizon, dt)
         stayed = np.ones(n_samples, dtype=bool)
 
         def judge(k, theta, td):

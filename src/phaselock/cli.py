@@ -1,6 +1,11 @@
 """Command-line front end.
 
 Subcommands: simulate, analyze, bounds, invariance, portrait, experiment.
+Only the three that draw random numbers take ``--seed`` (default 0):
+simulate for initial phases when ``--theta0`` is absent, analyze for the
+``--certify`` starts, invariance for the certificate starts. Each option
+is checked by the library call that uses it.
+
 CSV and JSON outputs carry 15 significant digits and are byte-identical
 across runs with the same configuration and seed. One payload builder per
 result type hands ``tables.write_json`` the result arrays as they are
@@ -15,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +38,7 @@ from .experiments import EXPERIMENT_IDS, run_experiment
 from .netfile import parse_network
 from .tables import write_csv, write_json, write_trajectory
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _USER_ERRORS = (
     NetworkFileError,
@@ -48,55 +52,29 @@ _USER_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand plus the shared numeric options."""
-
-    subcommand: str
-    network_path: str | None
-    t_end: float
-    dt: float
-    seed: int
-    output_dir: str
-    experiment_id: str | None = None
-
-    def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be positive and finite")
-        if not (np.isfinite(self.t_end) and self.t_end >= self.dt):
-            raise ValueError("t_end must be finite and at least dt")
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        network_path=getattr(args, "network", None),
-        t_end=getattr(args, "t_end", 50.0),
-        dt=getattr(args, "dt", 0.01),
-        seed=getattr(args, "seed", 0),
-        output_dir=args.out,
-        experiment_id=getattr(args, "experiment_id", None),
-    )
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _cmd_simulate(config: RunConfig, args) -> int:
-    net = parse_network(config.network_path)
+def _phases(text: str) -> np.ndarray:
+    """Comma-separated phases; a malformed list raises ValueError."""
+    return np.array([float(v) for v in text.split(",")])
+
+
+def _cmd_simulate(args) -> int:
+    net = parse_network(args.network)
     if args.theta0 is not None:
-        theta0 = np.array([float(v) for v in args.theta0.split(",")])
+        theta0 = _phases(args.theta0)
         if theta0.size != net.n_oscillators:
             raise ValueError(
                 f"--theta0 needs {net.n_oscillators} comma-separated values"
             )
     else:
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(args.seed)
         theta0 = rng.uniform(-np.pi, np.pi, size=net.n_oscillators)
-    traj = simulate(net, theta0, config.t_end, config.dt)
+    traj = simulate(net, theta0, args.t_end, args.dt)
     write_trajectory(_out_dir(args) / "trajectory.csv", traj)
     return 0
 
@@ -112,7 +90,7 @@ def _bounds_payload(net, delta: float) -> dict:
     }
 
 
-def _analysis_payload(net, delta: float, guess=None) -> dict:
+def _analysis_payload(net, delta: float, guess) -> dict:
     payload = {
         "bounds": _bounds_payload(net, delta),
         "sync_frequency": analysis.sync_frequency(net),
@@ -147,16 +125,14 @@ def _invariance_payload(report, keys) -> dict:
     return {"invariance": {key: getattr(report, key) for key in keys}}
 
 
-def _cmd_analyze(config: RunConfig, args) -> int:
-    net = parse_network(config.network_path)
-    guess = None
-    if args.guess is not None:
-        guess = np.array([float(v) for v in args.guess.split(",")])
+def _cmd_analyze(args) -> int:
+    net = parse_network(args.network)
+    guess = None if args.guess is None else _phases(args.guess)
     payload = _analysis_payload(net, args.delta, guess)
     certificate = None
     if args.certify:
         certificate = analysis.invariance_certificate(
-            net, n_samples=args.samples, horizon=config.t_end, seed=config.seed
+            net, n_samples=args.samples, horizon=args.t_end, seed=args.seed
         )
         payload["certificates"] = _invariance_payload(certificate, _ANALYZE_CERT_KEYS)
     write_json(_out_dir(args) / "report.json", payload)
@@ -165,21 +141,21 @@ def _cmd_analyze(config: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_bounds(config: RunConfig, args) -> int:
-    net = parse_network(config.network_path)
+def _cmd_bounds(args) -> int:
+    net = parse_network(args.network)
     write_json(_out_dir(args) / "bounds.json", _bounds_payload(net, args.delta))
     return 0
 
 
-def _cmd_invariance(config: RunConfig, args) -> int:
-    net = parse_network(config.network_path)
+def _cmd_invariance(args) -> int:
+    net = parse_network(args.network)
     report = analysis.invariance_certificate(
         net,
         n_samples=args.samples,
-        horizon=config.t_end,
-        dt=config.dt,
+        horizon=args.t_end,
+        dt=args.dt,
         margin=args.margin,
-        seed=config.seed,
+        seed=args.seed,
     )
     payload = {"certificates": _invariance_payload(report, _INVARIANCE_KEYS)}
     write_json(_out_dir(args) / "invariance.json", payload)
@@ -193,8 +169,8 @@ def _cmd_invariance(config: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_portrait(config: RunConfig, args) -> int:
-    net = parse_network(config.network_path)
+def _cmd_portrait(args) -> int:
+    net = parse_network(args.network)
     out = _out_dir(args)
     grid = vector_field_grid(
         net,
@@ -235,8 +211,8 @@ def _cmd_portrait(config: RunConfig, args) -> int:
     return 0
 
 
-def _cmd_experiment(config: RunConfig, args) -> int:
-    result = run_experiment(config.experiment_id, out_dir=config.output_dir)
+def _cmd_experiment(args) -> int:
+    result = run_experiment(args.experiment_id, out_dir=args.out)
     write_json(_out_dir(args) / "report.json", result.report)
     if not result.passed:
         print(f"experiment {result.experiment_id} verification FAILED:", file=sys.stderr)
@@ -247,10 +223,11 @@ def _cmd_experiment(config: RunConfig, args) -> int:
     return 0
 
 
-def _add_common(parser, *, network_required: bool = True) -> None:
-    parser.add_argument("--network", required=network_required, help="network definition file")
+def _add_common(parser, *, seed: bool = False) -> None:
+    parser.add_argument("--network", required=True, help="network definition file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate", help="integrate a trajectory and write trajectory.csv")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--t-end", type=float, default=50.0, help="simulated time, s")
     p.add_argument("--dt", type=float, default=0.01, help="integration step, s")
     p.add_argument("--theta0", help="comma-separated initial phases (default: random)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("analyze", help="equilibrium, spectrum, classification, bounds")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--guess", help="comma-separated initial phases for the solver")
     p.add_argument("--delta", type=float, default=0.5, help="attracting-set angle, rad")
     p.add_argument("--certify", action="store_true", help="also run the invariance certificate")
@@ -282,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("invariance", help="Monte-Carlo invariant-set certificate")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--t-end", type=float, default=50.0, help="certificate horizon, s")
     p.add_argument("--dt", type=float, default=0.01)
@@ -313,8 +290,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return args.func(config, args)
+        return args.func(args)
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

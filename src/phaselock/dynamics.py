@@ -126,6 +126,13 @@ def _apply_edge_laplacian(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
     return _edge_diff(net, by.reshape(y.shape[:-1] + (n,)))
 
 
+def _edge_field(net: OscillatorNetwork, x: np.ndarray) -> np.ndarray:
+    """First-order edge field B^T omega - B^T B K sin(X) (edge index last)."""
+    return _edge_diff(net, net.natural_frequencies) - _apply_edge_laplacian(
+        net, net._k_diag * np.sin(x)
+    )
+
+
 def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:
     """Edge-space flow matrix G(X) = -B^T B K diag(cos X)."""
     x = np.asarray(x, dtype=float)
@@ -164,16 +171,20 @@ class Trajectory:
         return _edge_diff(net, self.theta_dots)
 
 
-def _validate_grid(y0, t_end, dt):
+def _finite_state(y0) -> np.ndarray:
     y0 = np.asarray(y0, dtype=float)
     if not np.isfinite(y0).all():
         raise ValueError("initial state must be finite")
+    return y0
+
+
+def _validate_grid(t_end, dt) -> int:
+    """Number of steps of size dt covering [0, t_end], at least one."""
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
     if not (np.isfinite(t_end) and t_end >= dt):
-        raise ValueError("t_end must be at least dt")
-    n_steps = int(round(t_end / dt))
-    return y0, max(n_steps, 1)
+        raise ValueError("t_end must be finite and at least dt")
+    return max(int(round(t_end / dt)), 1)
 
 
 def _node_field(net: OscillatorNetwork):
@@ -215,15 +226,13 @@ def simulate(
     dt: float = 0.01,
     *,
     stop_on_sync: bool = False,
-    sync_tol: float = SYNC_TOL,
-    sync_window: float = SYNC_WINDOW,
 ) -> Trajectory:
     """Integrate the network with classical RK4 at fixed step dt.
 
     Keeping dt below 0.1 / max(1, |omega|_inf + max gain) is recommended.
     With ``stop_on_sync`` the run ends early once the frequency spread
-    max_i theta_dot_i - min_i theta_dot_i has stayed below ``sync_tol``
-    for ``sync_window`` seconds of simulated time.
+    max_i theta_dot_i - min_i theta_dot_i has stayed below ``SYNC_TOL``
+    for ``SYNC_WINDOW`` seconds of simulated time.
     """
     trajectories = simulate_many(
         net,
@@ -231,8 +240,6 @@ def simulate(
         t_end,
         dt,
         stop_on_sync=stop_on_sync,
-        sync_tol=sync_tol,
-        sync_window=sync_window,
     )
     return trajectories[0]
 
@@ -244,8 +251,6 @@ def simulate_many(
     dt: float = 0.01,
     *,
     stop_on_sync: bool = False,
-    sync_tol: float = SYNC_TOL,
-    sync_window: float = SYNC_WINDOW,
 ) -> list[Trajectory]:
     """Integrate a batch of independent trajectories in lockstep.
 
@@ -259,9 +264,10 @@ def simulate_many(
     theta0s = np.asarray(theta0s, dtype=float)
     if theta0s.ndim != 2 or theta0s.shape[0] != net.n_oscillators:
         raise ValueError(f"theta0s must have shape ({net.n_oscillators}, m)")
-    theta0s, n_steps = _validate_grid(theta0s, t_end, dt)
+    theta0s = _finite_state(theta0s)
+    n_steps = _validate_grid(t_end, dt)
     m = theta0s.shape[1]
-    window_steps = max(1, int(round(sync_window / dt)))
+    window_steps = max(1, int(round(SYNC_WINDOW / dt)))
 
     thetas = np.empty((n_steps + 1, net.n_oscillators, m))
     dots = np.empty_like(thetas)
@@ -271,7 +277,7 @@ def simulate_many(
     def store(k, theta, td):
         thetas[k] = theta
         dots[k] = td
-        small = np.ptp(td, axis=0) < sync_tol
+        small = np.ptp(td, axis=0) < SYNC_TOL
         run[~small] = 0
         run[small] += 1
         if k == 0:  # step 0 only seeds the counters; windows end on steps taken
@@ -339,7 +345,5 @@ def vector_field_grid(
     x[:, i] = a
     x[:, j] = b_
     x[:, k] = (-s[k] * s[i]) * a + (-s[k] * s[j]) * b_
-    dx = _edge_diff(net, net.natural_frequencies) - _apply_edge_laplacian(
-        net, net._k_diag * np.sin(x)
-    )
+    dx = _edge_field(net, x)
     return np.column_stack([a, b_, dx[:, i], dx[:, j]])

@@ -50,11 +50,11 @@ FIVE_NETWORK_THETA0 = np.array(
 )
 
 
-def three_chain_network(omega=(1.0, 2.0, 3.0)) -> OscillatorNetwork:
-    """Open chain 1-2-3 with gains (9, 6, 0)."""
+def three_chain_network() -> OscillatorNetwork:
+    """Open chain 1-2-3 with omega = (1, 2, 3) and gains (9, 6, 0)."""
     return OscillatorNetwork(
         n_oscillators=3,
-        natural_frequencies=np.asarray(omega, dtype=float),
+        natural_frequencies=np.array([1.0, 2.0, 3.0]),
         coupling_gains=np.array([9.0, 6.0, 0.0]),
     )
 
@@ -81,11 +81,11 @@ class ExperimentResult:
     failures: list[str] = field(default_factory=list)
 
 
-def _run_three_chain(out_dir: Path, grid_resolution: int = 41) -> ExperimentResult:
+def _run_three_chain(out_dir: Path) -> ExperimentResult:
     net = three_chain_network()
     failures: list[str] = []
 
-    grid = vector_field_grid(net, resolution=grid_resolution)
+    grid = vector_field_grid(net, resolution=41)
     write_csv(out_dir / "field.csv", "x1,x2,dx1,dx2", grid)
 
     x_star = solve_equilibrium(net)
@@ -132,12 +132,10 @@ def _run_three_chain(out_dir: Path, grid_resolution: int = 41) -> ExperimentResu
     )
 
 
-def _run_five_network(
-    out_dir: Path, t_end: float = 100.0, dt: float = 0.005
-) -> ExperimentResult:
+def _run_five_network(out_dir: Path) -> ExperimentResult:
     net = five_network_network()
     failures: list[str] = []
-    traj = simulate(net, FIVE_NETWORK_THETA0, t_end, dt, stop_on_sync=True)
+    traj = simulate(net, FIVE_NETWORK_THETA0, 100.0, 0.005, stop_on_sync=True)
 
     target = sync_frequency(net)
     final_dots = traj.theta_dots[-1]
@@ -170,12 +168,12 @@ def _run_five_network(
     )
 
 
-def run_experiment(experiment_id: str, out_dir=".", **kwargs) -> ExperimentResult:
+def run_experiment(experiment_id: str, out_dir=".") -> ExperimentResult:
     """Run a bundled experiment, writing its CSV outputs into ``out_dir``."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if experiment_id == "three_chain":
-        return _run_three_chain(out_dir, **kwargs)
+        return _run_three_chain(out_dir)
     if experiment_id == "five_network":
-        return _run_five_network(out_dir, **kwargs)
+        return _run_five_network(out_dir)
     raise ValueError(f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}")

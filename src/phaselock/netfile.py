@@ -76,8 +76,41 @@ def _sparse_coupling(entries: list, n: int) -> list[float]:
     return gains
 
 
+def _network_from(raw) -> OscillatorNetwork:
+    """Validate a decoded network definition; messages name no file."""
+    if not isinstance(raw, dict):
+        raise NetworkFileError("top level must be an object")
+    missing = _TOP_LEVEL_FIELDS - set(raw)
+    if missing:
+        raise NetworkFileError(f"missing fields {sorted(missing)}")
+    unknown = set(raw) - _TOP_LEVEL_FIELDS
+    if unknown:
+        raise NetworkFileError(f"unknown fields {sorted(unknown)}")
+
+    n = raw["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
+        raise NetworkFileError("field 'n' must be an integer >= 2")
+    omega = raw["omega"]
+    if not isinstance(omega, list) or len(omega) != n:
+        raise NetworkFileError(f"field 'omega' must be a list of {n} numbers")
+    omega = _numbers(omega, "omega")
+
+    coupling = raw["coupling"]
+    if not isinstance(coupling, list) or not coupling:
+        raise NetworkFileError("field 'coupling' must be a non-empty list")
+    kinds = {*map(type, coupling)}
+    dense, sparse = dict not in kinds, kinds == {dict}
+    if not dense and not sparse:
+        raise NetworkFileError("coupling mixes the dense array and edge-record forms")
+    gains = _dense_coupling(coupling, n) if dense else _sparse_coupling(coupling, n)
+    return OscillatorNetwork(
+        n_oscillators=n, natural_frequencies=omega, coupling_gains=gains
+    )
+
+
 def parse_network(path) -> OscillatorNetwork:
-    """Load and validate a network definition file."""
+    """Load and validate a network definition file; every error message
+    starts with the file path."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -85,38 +118,8 @@ def parse_network(path) -> OscillatorNetwork:
         raise NetworkFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise NetworkFileError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-
-    if not isinstance(raw, dict):
-        raise NetworkFileError(f"{path}: top level must be an object")
-    missing = _TOP_LEVEL_FIELDS - set(raw)
-    if missing:
-        raise NetworkFileError(f"{path}: missing fields {sorted(missing)}")
-    unknown = set(raw) - _TOP_LEVEL_FIELDS
-    if unknown:
-        raise NetworkFileError(f"{path}: unknown fields {sorted(unknown)}")
-
-    n = raw["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
-        raise NetworkFileError(f"{path}: field 'n' must be an integer >= 2")
-    omega = raw["omega"]
-    if not isinstance(omega, list) or len(omega) != n:
-        raise NetworkFileError(f"{path}: field 'omega' must be a list of {n} numbers")
-    omega = _numbers(omega, "omega")
-
-    coupling = raw["coupling"]
-    if not isinstance(coupling, list) or not coupling:
-        raise NetworkFileError(f"{path}: field 'coupling' must be a non-empty list")
-    kinds = {*map(type, coupling)}
-    dense, sparse = dict not in kinds, kinds == {dict}
-    if not dense and not sparse:
-        raise NetworkFileError(
-            f"{path}: coupling mixes the dense array and edge-record forms"
-        )
     try:
-        gains = _dense_coupling(coupling, n) if dense else _sparse_coupling(coupling, n)
-        return OscillatorNetwork(
-            n_oscillators=n, natural_frequencies=omega, coupling_gains=gains
-        )
+        return _network_from(raw)
     except NetworkFileError as exc:
         raise NetworkFileError(f"{path}: {exc}") from None
     except ValueError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _integrate, _validate_grid
+from .dynamics import _finite_state, _integrate, _validate_grid
 from .errors import OutOfDomainError
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 DEFAULT_CONE_EPS = 0.05
+DRIFT_GRID = 100  # interior samples per drift-region half for the divergence minimum
 
 
 @dataclass(frozen=True)
@@ -162,7 +163,7 @@ class GlobalSyncReport:
     unstable_fixed_point: float | None
 
 
-def global_sync_verdict(p: PlanarParams, grid_resolution: int = 100) -> GlobalSyncReport:
+def global_sync_verdict(p: PlanarParams) -> GlobalSyncReport:
     """Decide |delta_omega| <= K and back it with a closed-orbit exclusion.
 
     Outside the half-circle |x1| <= pi/2 the field divergence is
@@ -170,8 +171,8 @@ def global_sync_verdict(p: PlanarParams, grid_resolution: int = 100) -> GlobalSy
     minimum of that divergence over an interior grid of the drift region.
     """
     # interior samples of (-pi, -pi/2) and (pi/2, pi]; endpoints excluded
-    left = np.linspace(-np.pi, -np.pi / 2, grid_resolution + 2)[1:-1]
-    right = np.linspace(np.pi / 2, np.pi, grid_resolution + 2)[1:-1]
+    left = np.linspace(-np.pi, -np.pi / 2, DRIFT_GRID + 2)[1:-1]
+    right = np.linspace(np.pi / 2, np.pi, DRIFT_GRID + 2)[1:-1]
     div = -p.k * np.cos(np.concatenate([left, right]))
     dmin = float(div.min())
     return GlobalSyncReport(
@@ -201,7 +202,8 @@ def simulate_planar(p: PlanarParams, x0, t_end: float, dt: float = 0.01):
     (T, 2) or (T, m, 2). Raises ValueError for a non-finite x0, dt or t_end
     and DivergenceError naming the step if a state goes non-finite.
     """
-    x0, n_steps = _validate_grid(x0, t_end, dt)
+    x0 = _finite_state(x0)
+    n_steps = _validate_grid(t_end, dt)
     out = np.empty((n_steps + 1,) + x0.shape)
 
     def store(k, x, _):

@@ -393,6 +393,14 @@ def test_invariance_margin_validation():
         invariance_certificate(net, n_samples=5, horizon=1.0, margin=np.pi / 2)
 
 
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_invariance_needs_a_sample(n_samples, keep):
+    net = OscillatorNetwork(3, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        invariance_certificate(net, n_samples=n_samples, horizon=1.0, keep_trajectories=keep)
+
+
 # Dense edge-space reference for the node-space analysis: the 2e x 2e block
 # matrix from ``linearize`` and G restricted to an orthonormal column-space
 # basis of B^T.

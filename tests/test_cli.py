@@ -11,7 +11,7 @@ from test_tables import oracle_json
 
 import phaselock.cli
 from phaselock import OscillatorNetwork, write_network
-from phaselock.cli import RunConfig, main
+from phaselock.cli import main
 
 
 @pytest.fixture
@@ -315,9 +315,47 @@ def test_bad_step_configuration_is_an_error(chain_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("t_end,dt", [(1.0, float("nan")), (float("nan"), 0.01),
                                       (float("inf"), 0.01), (1.0, float("inf"))])
-def test_run_config_rejects_non_finite_steps(t_end, dt):
-    with pytest.raises(ValueError, match="finite"):
-        RunConfig("simulate", "net.json", t_end=t_end, dt=dt, seed=0, output_dir=".")
+def test_simulate_rejects_non_finite_steps(chain_file, tmp_path, capsys, t_end, dt):
+    argv = ["simulate", "--network", str(chain_file), "--t-end", str(t_end), "--dt", str(dt)]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_analyze_reads_the_horizon_only_to_certify(pair_file, tmp_path, capsys):
+    argv = ["analyze", "--network", str(pair_file), "--t-end", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["certificates"] is None
+    assert main([*argv, "--certify"]) == 1
+    assert capsys.readouterr().err == "error: t_end must be finite and at least dt\n"
+
+
+def test_invariance_checks_the_step_before_sampling(tmp_path, capsys):
+    # 100 box states at N = 16 exceed the rejection sampler's draw budget,
+    # so a grid checked only after sampling would report the sampler instead
+    path = tmp_path / "n16.json"
+    write_network(OscillatorNetwork(16, np.zeros(16), np.ones(120)), path)
+    argv = ["invariance", "--network", str(path), "--dt", "nan", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: dt must be positive and finite\n"
+    assert not (tmp_path / "invariance.json").exists()
+
+
+@pytest.mark.parametrize("argv", [["invariance", "--samples", "0"],
+                                  ["invariance", "--samples", "-3"],
+                                  ["analyze", "--certify", "--samples", "0"]],
+                         ids=["invariance-0", "invariance-minus-3", "analyze-certify-0"])
+def test_sample_count_below_one_is_an_error(pair_file, tmp_path, capsys, argv):
+    assert main([*argv, "--network", str(pair_file), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "error: n_samples must be at least 1\n"
+
+
+@pytest.mark.parametrize("subcommand", ["bounds", "portrait"])
+def test_seed_is_not_an_option_without_random_draws(pair_file, capsys, subcommand):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--network", str(pair_file), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_non_finite_step_is_an_error(chain_file, tmp_path, capsys):

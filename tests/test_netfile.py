@@ -163,4 +163,4 @@ def test_cli_reports_an_out_of_range_number_in_one_line(tmp_path, capsys):
     path = write_raw(tmp_path, _with_bad("omega", 10**400))
     assert main(["bounds", "--network", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: omega[1]: number out of range\n"
+    assert err == f"error: {path}: omega[1]: number out of range\n"
