@@ -47,7 +47,6 @@ from .errors import (
     NetworkFileError,
     NoEquilibriumError,
     OutOfDomainError,
-    SamplingInfeasibleError,
     SingularJacobianError,
 )
 from .netfile import parse_network, write_network

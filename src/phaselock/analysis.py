@@ -36,11 +36,7 @@ from .dynamics import (
     theta_dot,
     wrap_phase,
 )
-from .errors import (
-    NoEquilibriumError,
-    SamplingInfeasibleError,
-    SingularJacobianError,
-)
+from .errors import NoEquilibriumError, SingularJacobianError
 from .network import OscillatorNetwork
 
 __all__ = [
@@ -77,7 +73,6 @@ NEWTON_MAX_ITER = 100  # Newton iterations before NoEquilibriumError
 ZERO_TOL = 1e-9  # eigenvalue cutoff for "negligible", relative to |A|_2
 COLSPACE_TOL = 1e-9  # set H: 2-norm distance of X from the column space
 CONSISTENCY_TOL = 1e-9  # set H: max-norm mismatch of V with the identity
-MAX_BOX_DRAWS = 100_000  # rejection-sampler budget of the certificate
 
 
 def _edge_frequency_mismatch(net: OscillatorNetwork) -> np.ndarray:
@@ -450,26 +445,34 @@ def _sample_box_states(
     margin: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Rejection-sample node phases whose edge differences fill the shrunken
-    box |x_i| < pi/2 - margin; returns shape (N, n_samples)."""
-    half_width = np.pi / 2 - margin
-    if half_width <= 0:
-        raise ValueError("margin leaves no room inside the box")
-    accepted = []
-    drawn = 0
+    """Draw node phases uniformly from [-pi/2, pi/2]^N restricted to spread
+    max - min < w = pi/2 - margin, so every edge difference lies in the
+    shrunken box |x_i| < w; returns shape (N, n_samples).
+
+    The draw is exact at every N. The argmin node is uniform, the other
+    offsets from the minimum are uniform in [0, w], and a draw is kept with
+    probability (pi - max offset) / pi, the length of the interval
+    [-pi/2, pi/2 - max offset] in which the minimum is then placed
+    uniformly. As w <= pi/2, each draw is kept with probability above 1/2.
+    """
+    if not 0 <= margin < np.pi / 2:
+        raise ValueError("margin must lie in [0, pi/2)")
+    w = np.pi / 2 - margin
     n = net.n_oscillators
-    while sum(a.shape[1] for a in accepted) < n_samples:
-        if drawn >= MAX_BOX_DRAWS:
-            raise SamplingInfeasibleError(
-                f"could not draw {n_samples} box states in {MAX_BOX_DRAWS} samples"
-            )
-        chunk = min(20_000, MAX_BOX_DRAWS - drawn)
-        drawn += chunk
-        theta = rng.uniform(-np.pi / 2, np.pi / 2, size=(n, chunk))
-        ok = np.ptp(theta, axis=0) < half_width
-        if np.any(ok):
-            accepted.append(theta[:, ok])
-    return np.concatenate(accepted, axis=1)[:, :n_samples]
+    parts = []
+    missing = n_samples
+    while missing > 0:
+        m = 2 * missing  # each draw is kept with probability above 1/2
+        offsets = rng.uniform(0.0, w, size=(n, m))
+        offsets[rng.integers(n, size=m), np.arange(m)] = 0.0
+        top = offsets.max(axis=0)
+        kept = rng.uniform(0.0, np.pi, size=m) < np.pi - top
+        theta = offsets[:, kept] + rng.uniform(-np.pi / 2, np.pi / 2 - top[kept])
+        # rounding in the sum must not carry a column out of the box
+        theta = theta[:, np.ptp(theta, axis=0) < w]
+        parts.append(theta)
+        missing -= theta.shape[1]
+    return np.concatenate(parts, axis=1)[:, :n_samples]
 
 
 def _stays_in_box(net: OscillatorNetwork, theta: np.ndarray) -> np.ndarray:
@@ -505,10 +508,12 @@ def invariance_certificate(
     """Monte-Carlo check that trajectories started in the invariant set
     stay there for the whole horizon.
 
-    Initial phases are rejection-sampled so the edge differences fill the
-    box shrunk by ``margin``. Gains below the per-edge sufficient
-    thresholds are flagged (``bounds_met``) but the certificate still runs;
-    escapes then show up as a fraction below one rather than an error.
+    Initial phases are drawn exactly, at any N, uniformly from
+    [-pi/2, pi/2]^N with spread below pi/2 - margin, so every edge
+    difference starts in the box shrunk by ``margin`` (which must lie in
+    [0, pi/2)). Gains below the per-edge sufficient thresholds are flagged
+    (``bounds_met``) but the certificate still runs; escapes then show up
+    as a fraction below one rather than an error.
     Along integrated trajectories the frequency differences satisfy the
     consistency identity by construction, and whenever the gain bounds are
     met the per-edge face inequality holds for every in-box state, so the

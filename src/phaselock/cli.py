@@ -31,7 +31,6 @@ from .errors import (
     NetworkFileError,
     NoEquilibriumError,
     OutOfDomainError,
-    SamplingInfeasibleError,
     SingularJacobianError,
 )
 from .experiments import EXPERIMENT_IDS, run_experiment
@@ -44,7 +43,6 @@ _USER_ERRORS = (
     NetworkFileError,
     NoEquilibriumError,
     SingularJacobianError,
-    SamplingInfeasibleError,
     DivergenceError,
     OutOfDomainError,
     ValueError,

@@ -22,9 +22,5 @@ class SingularJacobianError(RuntimeError):
     """Newton Jacobian lost rank at an iterate (a cos(x_i) = 0 crossing)."""
 
 
-class SamplingInfeasibleError(RuntimeError):
-    """Rejection sampling exhausted its draw budget."""
-
-
 class NetworkFileError(ValueError):
     """Network definition file is malformed or fails validation."""

@@ -36,7 +36,7 @@ from phaselock import (
     uniform_critical_gain,
     wrap_phase,
 )
-from phaselock.analysis import RANK_TOL, onset_lower_bounds
+from phaselock.analysis import RANK_TOL, _sample_box_states, onset_lower_bounds
 from phaselock.dynamics import SYNC_TOL
 
 CHAIN = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
@@ -379,18 +379,74 @@ def test_solve_equilibrium_fold_point_guess_is_singular():
         solve_equilibrium(net, theta_guess=np.array([np.pi / 2, 0.0]))
 
 
-def test_invariance_sampling_infeasible():
-    from phaselock import SamplingInfeasibleError
-
+def test_invariance_draws_at_a_margin_next_to_pi_over_2():
     net = OscillatorNetwork(6, np.zeros(6), np.ones(15))
-    with pytest.raises(SamplingInfeasibleError):
-        invariance_certificate(net, n_samples=10, horizon=1.0, margin=np.pi / 2 - 1e-4, seed=0)
+    report = invariance_certificate(net, n_samples=10, horizon=1.0, margin=np.pi / 2 - 1e-4, seed=0)
+    assert report.n_samples == 10 and report.passed
 
 
 def test_invariance_margin_validation():
+    # a negative margin would draw starts outside the box being certified
     net = OscillatorNetwork(3, np.zeros(3), np.ones(3))
-    with pytest.raises(ValueError):
-        invariance_certificate(net, n_samples=5, horizon=1.0, margin=np.pi / 2)
+    for margin in (np.pi / 2, -0.5, -2.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"margin must lie in \[0, pi/2\)"):
+            invariance_certificate(net, n_samples=5, horizon=1.0, margin=margin)
+
+
+def test_invariance_at_n10_with_1000_samples():
+    net = OscillatorNetwork(10, np.zeros(10), np.ones(45))
+    report = invariance_certificate(net, n_samples=1000, horizon=0.2, seed=0)
+    assert report.n_samples == 1000 and report.passed
+
+
+# The box sampler against the rejection loop it replaced, which draws the
+# same distribution (uniform phases in [-pi/2, pi/2]^N with spread below
+# pi/2 - margin) at an acceptance rate of about N (w/pi)^(N-1).
+
+
+def _rejection_oracle(n, n_samples, margin, rng):
+    accepted = []
+    while sum(a.shape[1] for a in accepted) < n_samples:
+        theta = rng.uniform(-np.pi / 2, np.pi / 2, size=(n, 20_000))
+        accepted.append(theta[:, np.ptp(theta, axis=0) < np.pi / 2 - margin])
+    return np.concatenate(accepted, axis=1)[:, :n_samples]
+
+
+def _ks_statistic(a, b):
+    """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(a, grid, side="right") / a.size
+    fb = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.max(np.abs(fa - fb)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_box_sampler_matches_the_rejection_oracle(n):
+    draws, margin = 4000, 0.1
+    net = OscillatorNetwork(n, np.zeros(n), np.ones(n * (n - 1) // 2))
+    exact = _sample_box_states(net, draws, margin, np.random.default_rng(100 + n))
+    oracle = _rejection_oracle(n, draws, margin, np.random.default_rng(200 + n))
+    bound = 1.949 * np.sqrt(2.0 / draws)  # KS critical value at alpha = 0.001
+
+    def marginals(theta):
+        return {"spread": np.ptp(theta, axis=0), "theta_0": theta[0],
+                "min": theta.min(axis=0), "theta_N - theta_0": theta[-1] - theta[0]}
+
+    got, want = marginals(exact), marginals(oracle)
+    for name in got:
+        assert _ks_statistic(got[name], want[name]) < bound, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 200), margin=st.floats(0.0, np.pi / 2, exclude_max=True),
+       n_samples=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+def test_box_sampler_draws_inside_the_shrunken_box(n, margin, n_samples, seed):
+    net = OscillatorNetwork(n, np.zeros(n), np.ones(n * (n - 1) // 2))
+    theta = _sample_box_states(net, n_samples, margin, np.random.default_rng(seed))
+    assert theta.shape == (n, n_samples)
+    assert np.all(np.ptp(theta, axis=0) < np.pi / 2 - margin)
+    assert np.array_equal(theta, _sample_box_states(net, n_samples, margin, np.random.default_rng(seed)))
 
 
 @pytest.mark.parametrize("keep", [False, True])
@@ -652,7 +708,7 @@ def test_streamed_certificate_partial_escape_across_the_wrap():
 
 @pytest.mark.parametrize("keep", [False, True])
 def test_certificate_blow_up_raises_divergence(keep):
-    net = OscillatorNetwork(2, [0.0, 0.0], [1e308])
+    net = OscillatorNetwork(2, [1e308, -1e308], [1.0])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             invariance_certificate(

@@ -1,9 +1,11 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ from test_tables import oracle_json
 import phaselock.cli
 from phaselock import OscillatorNetwork, write_network
 from phaselock.cli import main
+
+
+def _child_env():
+    """Environment in which a child interpreter imports the phaselock under
+    test, whether or not it is installed or on PYTHONPATH."""
+    src = str(Path(phaselock.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture
@@ -257,8 +268,9 @@ def test_module_entry_point(tmp_path, chain_file):
         ],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
-    assert result.returncode == 0
+    assert result.returncode == 0, result.stderr
     assert (tmp_path / "sp" / "bounds.json").exists()
 
 
@@ -331,14 +343,37 @@ def test_analyze_reads_the_horizon_only_to_certify(pair_file, tmp_path, capsys):
 
 
 def test_invariance_checks_the_step_before_sampling(tmp_path, capsys):
-    # 100 box states at N = 16 exceed the rejection sampler's draw budget,
-    # so a grid checked only after sampling would report the sampler instead
+    # the sampler rejects a negative margin, so a grid checked only after
+    # sampling would report the margin instead of the step
     path = tmp_path / "n16.json"
     write_network(OscillatorNetwork(16, np.zeros(16), np.ones(120)), path)
-    argv = ["invariance", "--network", str(path), "--dt", "nan", "--out", str(tmp_path)]
+    argv = ["invariance", "--network", str(path), "--dt", "nan", "--margin", "-1",
+            "--out", str(tmp_path)]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: dt must be positive and finite\n"
     assert not (tmp_path / "invariance.json").exists()
+
+
+@pytest.mark.parametrize("margin", ["-0.5", "-2", "nan", "1.5707963267948966"])
+def test_invariance_rejects_a_margin_outside_the_range(chain_file, tmp_path, capsys, margin):
+    argv = ["invariance", "--network", str(chain_file), "--samples", "20", "--t-end", "1",
+            "--margin", margin, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: margin must lie in [0, pi/2)\n"
+    assert not (tmp_path / "invariance.json").exists()
+
+
+@pytest.mark.parametrize("command", [["invariance"], ["analyze", "--certify"]],
+                         ids=["invariance", "analyze-certify"])
+def test_certificate_runs_at_n50(tmp_path, command):
+    path = tmp_path / "k50.json"
+    write_network(OscillatorNetwork(50, np.linspace(-0.01, 0.01, 50), np.ones(50 * 49 // 2)), path)
+    argv = [*command, "--network", str(path), "--samples", "10", "--t-end", "1",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    name = "invariance.json" if command == ["invariance"] else "report.json"
+    cert = json.loads((tmp_path / name).read_text())["certificates"]["invariance"]
+    assert cert["passed"] is True and cert["bounds_met"] is True and cert["n_samples"] == 10
 
 
 @pytest.mark.parametrize("argv", [["invariance", "--samples", "0"],
@@ -393,7 +428,7 @@ def test_parser_survives_an_argparse_error(pair_file, tmp_path, capsys):
     assert "--horizon" in capsys.readouterr().err
     assert main(["bounds", "--network", str(pair_file), "--out", str(tmp_path / "same")]) == 0
     fresh = [sys.executable, "-m", "phaselock.cli", "bounds", "--network", str(pair_file)]
-    subprocess.run([*fresh, "--out", str(tmp_path / "fresh")], check=True)
+    subprocess.run([*fresh, "--out", str(tmp_path / "fresh")], check=True, env=_child_env())
     same = (tmp_path / "same" / "bounds.json").read_bytes()
     assert same == (tmp_path / "fresh" / "bounds.json").read_bytes()
 
