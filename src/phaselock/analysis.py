@@ -28,8 +28,8 @@ from .dynamics import (
     _apply_edge_laplacian,
     _edge_diff,
     _edge_field,
-    _integrate,
     _node_field,
+    _rk4_steps,
     _validate_grid,
     g_matrix,
     simulate_many,
@@ -37,7 +37,7 @@ from .dynamics import (
     wrap_phase,
 )
 from .errors import NoEquilibriumError, SingularJacobianError
-from .network import OscillatorNetwork
+from .network import OscillatorNetwork, is_connected
 
 __all__ = [
     "SEMISTABLE_CANDIDATE",
@@ -211,7 +211,8 @@ def solve_equilibrium(
     zero, which removes the common-rotation nullspace; the step solves
     L(X)[:, :-1] step = f - mean(f) in the least-squares sense, which is the
     least-squares step of the edge system. Raises SingularJacobianError when
-    the Jacobian drops rank (a cos(x_i) = 0 crossing) and NoEquilibriumError
+    the Jacobian drops rank (a cos(x_i) = 0 crossing, or a disconnected
+    positive-gain graph, which the message then names) and NoEquilibriumError
     when the residual does not reach ``tol`` within ``NEWTON_MAX_ITER`` iterations,
     which typically means the gains are below critical.
     """
@@ -242,10 +243,12 @@ def solve_equilibrium(
             _laplacian(net, net._k_diag * np.cos(x))[:, :-1], full_matrices=False
         )
         if np.sqrt(n) * sv[0] < 1e-12 * scale or sv[-1] < RANK_TOL * sv[0]:
-            raise SingularJacobianError(
-                "Jacobian rank-deficient at iterate; equilibrium near a "
-                "cos(x_i) = 0 crossing"
+            cause = (
+                "equilibrium near a cos(x_i) = 0 crossing"
+                if is_connected(net)
+                else "the positive-gain graph is disconnected"
             )
+            raise SingularJacobianError(f"Jacobian rank-deficient at iterate; {cause}")
         theta[:-1] += vt.T @ ((u.T @ (f - f.mean())) / sv)
 
     raise NoEquilibriumError(
@@ -519,9 +522,10 @@ def invariance_certificate(
     met the per-edge face inequality holds for every in-box state, so the
     per-step membership check reduces to confinement in the open box.
 
-    Without ``keep_trajectories`` the RK4 driver reduces every step to a
-    per-sample verdict, so memory is O(N n_samples) whatever the horizon;
-    with it the trajectories are stored and judged by the same test.
+    Without ``keep_trajectories`` each RK4 step is judged as it is taken
+    and only a per-sample verdict is kept, so memory is O(N n_samples)
+    whatever the horizon; with it the trajectories are stored and judged
+    by the same test.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -537,12 +541,8 @@ def invariance_certificate(
     else:
         trajectories = []
         stayed = np.ones(n_samples, dtype=bool)
-
-        def judge(k, theta, td):
+        for _, theta, _ in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
             stayed[stayed] = _stays_in_box(net, theta[:, stayed])
-            return False
-
-        _integrate(_node_field(net), theta0s, n_steps, dt, judge)
 
     n_stayed = int(np.sum(stayed))
     fraction = n_stayed / n_samples

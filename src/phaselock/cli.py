@@ -169,6 +169,16 @@ def _cmd_invariance(args) -> int:
 
 def _cmd_portrait(args) -> int:
     net = parse_network(args.network)
+    params = None
+    if net.n_oscillators == 2:  # checked before any file is written
+        gain = float(net.coupling_gains[0])
+        if not gain > 0:
+            raise ValueError(
+                "portrait needs a positive coupling between the two "
+                f"oscillators, got {gain:g}"
+            )
+        omega = net.natural_frequencies
+        params = planar.PlanarParams(k=gain, delta_omega=float(omega[0] - omega[1]))
     out = _out_dir(args)
     grid = vector_field_grid(
         net,
@@ -178,13 +188,7 @@ def _cmd_portrait(args) -> int:
     )
     write_csv(out / "field.csv", "x1,x2,dx1,dx2", grid)
 
-    if net.n_oscillators == 2:
-        params = planar.PlanarParams(
-            k=float(net.coupling_gains[0]),
-            delta_omega=float(
-                net.natural_frequencies[0] - net.natural_frequencies[1]
-            ),
-        )
+    if params is not None:
         # interior grid: the trapping region excludes its x1 endpoints
         x1 = np.linspace(-np.pi / 2, np.pi / 2, args.grid + 2)[1:-1]
         rows = [

@@ -11,10 +11,10 @@ Vdot = G(X) V with G(X) = -B^T B K diag(cos X). Products with B^T and B^T B
 go through the edge ends, never through the dense incidence.
 
 Integration is classical fixed-step RK4, run for every flow (node and
-planar) by one driver that hands every step's states and fields to a
-reducer and raises DivergenceError on a non-finite state: ``simulate_many``
-stores the batch and wraps it to (-pi, pi] once, while the invariance
-certificate keeps only a per-sample verdict, in O(N m) memory.
+planar) by one generator that yields each step's state and field on demand
+and raises DivergenceError on a non-finite state; its consumers are loops.
+``simulate_many`` stores the batch and wraps it to (-pi, pi] once, while the
+invariance certificate keeps only a per-sample verdict, in O(N m) memory.
 """
 
 from __future__ import annotations
@@ -192,31 +192,25 @@ def _node_field(net: OscillatorNetwork):
     return lambda theta: theta_dot(theta, net)
 
 
-def _rk4_step(f, y, dt, k1):
-    """One classical RK4 step; ``k1`` is f(y), already known to the caller."""
-    k2 = f(y + 0.5 * dt * k1)
-    k3 = f(y + 0.5 * dt * k2)
-    k4 = f(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_steps(f, y, n_steps, dt):
+    """Classical fixed-step RK4 for the autonomous field ``f``.
 
-
-def _integrate(f, y, n_steps, dt, reduce) -> int:
-    """Fixed-step RK4 driver for the autonomous field ``f``.
-
-    Calls ``reduce(k, y_k, f(y_k))`` at steps k = 0, 1, ..., n_steps, each
-    field value being the next step's first stage, and returns the last step
-    taken, stopping early once ``reduce`` returns True. Raises
-    DivergenceError naming the step if any state goes non-finite.
+    Yields ``(k, y_k, f(y_k))`` for k = 0, 1, ..., n_steps, each field value
+    being the next step's first stage k1; a step is computed only when the
+    consumer asks for it, so a loop that breaks costs nothing further.
+    Raises DivergenceError naming the step if any state goes non-finite.
     """
-    fy = f(y)
-    k = 0
-    while not reduce(k, y, fy) and k < n_steps:
-        k += 1
-        y = _rk4_step(f, y, dt, fy)
+    k1 = f(y)
+    yield 0, y, k1
+    for step in range(1, n_steps + 1):
+        k2 = f(y + 0.5 * dt * k1)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(y).all():
-            raise DivergenceError(step=k, time=k * dt)
-        fy = f(y)
-    return k
+            raise DivergenceError(step=step, time=step * dt)
+        k1 = f(y)
+        yield step, y, k1
 
 
 def simulate(
@@ -234,12 +228,11 @@ def simulate(
     max_i theta_dot_i - min_i theta_dot_i has stayed below ``SYNC_TOL``
     for ``SYNC_WINDOW`` seconds of simulated time.
     """
+    theta0 = np.asarray(theta0, dtype=float)
+    if theta0.shape != (net.n_oscillators,):
+        raise ValueError(f"theta0 must have shape ({net.n_oscillators},)")
     trajectories = simulate_many(
-        net,
-        np.asarray(theta0, dtype=float).reshape(net.n_oscillators, 1),
-        t_end,
-        dt,
-        stop_on_sync=stop_on_sync,
+        net, theta0[:, None], t_end, dt, stop_on_sync=stop_on_sync
     )
     return trajectories[0]
 
@@ -257,9 +250,10 @@ def simulate_many(
     ``theta0s`` has shape (N, m), one column per trajectory. All runs share
     the time grid; with ``stop_on_sync`` the batch stops once every run has
     held a sustained sync window (runs keep their individual detection
-    times). A reducer on the RK4 driver stores each step and keeps the
-    sync-window counters; the trajectories view columns of the one stored
-    batch. Raises DivergenceError naming the step if a state goes non-finite.
+    times). An early-stopping batch is stored in rows that start small and
+    double when full, and it keeps only the steps taken. The trajectories
+    view columns of the one stored batch.
+    Raises DivergenceError naming the step if a state goes non-finite.
     """
     theta0s = np.asarray(theta0s, dtype=float)
     if theta0s.ndim != 2 or theta0s.shape[0] != net.n_oscillators:
@@ -269,29 +263,33 @@ def simulate_many(
     m = theta0s.shape[1]
     window_steps = max(1, int(round(SYNC_WINDOW / dt)))
 
-    thetas = np.empty((n_steps + 1, net.n_oscillators, m))
+    rows = min(n_steps + 1, 256) if stop_on_sync else n_steps + 1
+    thetas = np.empty((rows, net.n_oscillators, m))
     dots = np.empty_like(thetas)
     run = np.zeros(m, dtype=int)  # consecutive small-spread steps per run
     sync_step = np.full(m, -1, dtype=int)  # step index where the window began
 
-    def store(k, theta, td):
+    for k, theta, td in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
+        if k == len(thetas):  # the early-stopping store is full: double it
+            more = min(k, n_steps + 1 - k)
+            thetas = np.concatenate([thetas, np.empty_like(thetas[:more])])
+            dots = np.concatenate([dots, np.empty_like(dots[:more])])
         thetas[k] = theta
         dots[k] = td
         small = np.ptp(td, axis=0) < SYNC_TOL
         run[~small] = 0
         run[small] += 1
         if k == 0:  # step 0 only seeds the counters; windows end on steps taken
-            return False
+            continue
         completed = (run >= window_steps) & (sync_step < 0)
         sync_step[completed] = k - window_steps + 1
-        return stop_on_sync and bool(np.all(sync_step >= 0))
+        if stop_on_sync and np.all(sync_step >= 0):
+            break
 
-    last = _integrate(_node_field(net), theta0s, n_steps, dt, store)
-
-    if last < n_steps:  # stopped early: keep only the steps taken
-        thetas, dots = thetas[: last + 1].copy(), dots[: last + 1].copy()
+    if k + 1 < len(thetas):  # stopped early: keep only the steps taken
+        thetas, dots = thetas[: k + 1].copy(), dots[: k + 1].copy()
     thetas = _wrap_in_place(thetas)
-    times = np.arange(last + 1) * dt
+    times = np.arange(k + 1) * dt
     return [
         Trajectory(
             times=times,

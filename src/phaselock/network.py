@@ -52,10 +52,10 @@ def incidence_matrix(n_oscillators: int) -> np.ndarray:
     """
     if n_oscillators < 2:
         raise ValueError("need at least 2 oscillators")
-    b = np.zeros((n_oscillators, edge_count(n_oscillators)), dtype=np.int64)
-    for k, (i, j) in enumerate(edge_pairs(n_oscillators)):
-        b[i, k] = 1
-        b[j, k] = -1
+    i, j = np.triu_indices(n_oscillators, 1)  # row-major = lexicographic
+    b = np.zeros((n_oscillators, len(i)), dtype=np.int64)
+    k = np.arange(len(i))
+    b[i, k], b[j, k] = 1, -1
     return b
 
 
@@ -157,10 +157,11 @@ def is_connected(net: OscillatorNetwork) -> bool:
             a = parent[a]
         return a
 
-    for k, (i, j) in enumerate(edge_pairs(n)):
-        if net.coupling_gains[k] > 0.0:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+    on = net.coupling_gains > 0.0
+    i, j = net._ends
+    for a, b in zip(i[on].tolist(), j[on].tolist()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
     root = find(0)
     return all(find(v) == root for v in range(1, n))

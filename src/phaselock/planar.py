@@ -10,7 +10,7 @@ The trapping region G is bounded above by K(1 - sin x1) and below by
 -K(1 + sin x1) for x1 in (-pi/2, pi/2); trajectories cannot leave it.
 Slope intervals bound the directions the field can take near an
 equilibrium (a, 0), which is what the nontangency test inspects.
-Trajectories use the network RK4 driver, which raises DivergenceError.
+Trajectories use the network RK4 step generator, which raises DivergenceError.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _finite_state, _integrate, _validate_grid
+from .dynamics import _finite_state, _rk4_steps, _validate_grid
 from .errors import OutOfDomainError
 
 __all__ = [
@@ -205,10 +205,6 @@ def simulate_planar(p: PlanarParams, x0, t_end: float, dt: float = 0.01):
     x0 = _finite_state(x0)
     n_steps = _validate_grid(t_end, dt)
     out = np.empty((n_steps + 1,) + x0.shape)
-
-    def store(k, x, _):
+    for k, x, _ in _rk4_steps(lambda x: planar_field(x, p), x0, n_steps, dt):
         out[k] = x
-        return False
-
-    _integrate(lambda x: planar_field(x, p), x0, n_steps, dt, store)
     return np.arange(n_steps + 1) * dt, out

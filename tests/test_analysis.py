@@ -25,6 +25,7 @@ from phaselock import (
     in_set_h,
     incidence_matrix,
     invariance_certificate,
+    is_connected,
     linearize,
     lyapunov_v2_along,
     lyapunov_v3,
@@ -375,8 +376,24 @@ def test_bound_consistency_met_bounds_imply_invariance():
 
 def test_solve_equilibrium_fold_point_guess_is_singular():
     net = OscillatorNetwork(2, [1.0, 1.0], [1.0])
-    with pytest.raises(SingularJacobianError):
+    with pytest.raises(SingularJacobianError, match=r"cos\(x_i\) = 0 crossing$"):
         solve_equilibrium(net, theta_guess=np.array([np.pi / 2, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        OscillatorNetwork(4, [1.0, 0.0, 0.5, -0.5], [1.0, 0, 0, 0, 0, 1.0]),
+        OscillatorNetwork(3, [1.0, 0.0, -1.0], [0.0, 0.0, 0.0]),
+    ],
+    ids=["two-components", "all-gains-zero"],
+)
+def test_solve_equilibrium_names_a_disconnected_graph(net):
+    # edges (1,2) and (3,4) only, or no edge at all: the Laplacian has a
+    # second zero eigenvalue whatever the phases
+    assert not is_connected(net)
+    with pytest.raises(SingularJacobianError, match="positive-gain graph is disconnected$"):
+        solve_equilibrium(net)
 
 
 def test_invariance_draws_at_a_margin_next_to_pi_over_2():

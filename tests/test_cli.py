@@ -208,6 +208,18 @@ def test_portrait_two_oscillators_emits_planar_files(pair_file, tmp_path):
     assert all(row.endswith(",1") for row in cones[1:])
 
 
+def test_portrait_of_an_uncoupled_pair_fails_before_writing(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text('{"n": 2, "omega": [1.0, 0.0], "coupling": [0.0]}')
+    out = tmp_path / "out"
+    assert main(["portrait", "--network", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: portrait needs a positive coupling between the two oscillators, got 0\n"
+    )
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("fixture", ["pair_file", "chain_file"])
 def test_portrait_leaves_the_incidence_unbuilt(fixture, request, tmp_path, monkeypatch):
     parsed, parse = [], phaselock.cli.parse_network

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,6 +22,8 @@ from phaselock import (
     vector_field_grid,
     wrap_phase,
 )
+from phaselock.dynamics import SYNC_TOL, SYNC_WINDOW, Trajectory
+from phaselock.errors import DivergenceError
 
 
 def componentwise_rate(theta, omega, gain_of):
@@ -256,6 +258,130 @@ def test_simulate_rejects_bad_inputs():
         simulate(net, [0.0, 0.0], 1.0, -0.01)
     with pytest.raises(ValueError):
         simulate(net, [0.0, 0.0], 0.001, 0.01)
+    with pytest.raises(ValueError, match=r"^theta0 must have shape \(2,\)$"):
+        simulate(net, [0.1, 0.2, 0.3], 1.0)
+
+
+def _oracle_simulate_many(net, theta0s, t_end, dt, stop_on_sync):
+    """Reference batch integrator: the whole horizon is allocated up front,
+    a closure stores each step and returns True to stop, and the driver
+    loop returns the last step taken."""
+    f = lambda y: theta_dot(y, net)  # noqa: E731
+    n_steps = max(int(round(t_end / dt)), 1)
+    m = theta0s.shape[1]
+    window_steps = max(1, int(round(SYNC_WINDOW / dt)))
+    thetas = np.empty((n_steps + 1, net.n_oscillators, m))
+    dots = np.empty_like(thetas)
+    run = np.zeros(m, dtype=int)
+    sync_step = np.full(m, -1, dtype=int)
+
+    def store(k, theta, td):
+        thetas[k] = theta
+        dots[k] = td
+        small = np.ptp(td, axis=0) < SYNC_TOL
+        run[~small] = 0
+        run[small] += 1
+        if k == 0:
+            return False
+        completed = (run >= window_steps) & (sync_step < 0)
+        sync_step[completed] = k - window_steps + 1
+        return stop_on_sync and bool(np.all(sync_step >= 0))
+
+    y, fy, k = theta0s, f(theta0s), 0
+    while not store(k, y, fy) and k < n_steps:
+        k += 1
+        k2 = f(y + 0.5 * dt * fy)
+        k3 = f(y + 0.5 * dt * k2)
+        k4 = f(y + dt * k3)
+        y = y + (dt / 6.0) * (fy + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise DivergenceError(step=k, time=k * dt)
+        fy = f(y)
+    thetas, dots = thetas[: k + 1].copy(), dots[: k + 1].copy()
+    thetas = wrap_phase(thetas)
+    return [
+        Trajectory(
+            times=np.arange(k + 1) * dt,
+            thetas=thetas[:, :, j],
+            theta_dots=dots[:, :, j],
+            synchronized_at=sync_step[j] * dt if sync_step[j] >= 0 else None,
+        )
+        for j in range(m)
+    ]
+
+
+def _outcome(run):
+    try:
+        return [
+            (t.times.tobytes(), t.thetas.tobytes(), t.theta_dots.tobytes(), t.synchronized_at)
+            for t in run()
+        ]
+    except DivergenceError as exc:
+        return ("diverged", exc.step, exc.time)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    m=st.integers(1, 5),
+    dt=st.sampled_from([0.005, 0.01, 0.5, 3.0]),
+    steps=st.integers(1, 700),
+    stop_on_sync=st.booleans(),
+    gain=st.sampled_from([0.3, 3.0, 20.0]),
+    spread=st.sampled_from([0.0, 0.2, 1e308]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# stops at step 645, after the early-stopping store has grown
+@example(n=4, m=3, dt=0.005, steps=700, stop_on_sync=True, gain=20.0, spread=0.2, seed=8)
+def test_simulate_many_matches_the_reducer_oracle(
+    n, m, dt, steps, stop_on_sync, gain, spread, seed
+):
+    # sync windows are 200, 100, 2 and 1 steps; omega = +-1e308 diverges
+    rng = np.random.default_rng(seed)
+    e = n * (n - 1) // 2
+    gains = rng.uniform(0.0, gain, e) * (rng.random(e) < 0.8)
+    if spread == 1e308:
+        omega = rng.choice([-1e308, 1e308], n)
+    else:
+        omega = rng.uniform(-spread, spread, n)
+    net = OscillatorNetwork(n, omega, gains)
+    theta0s = rng.uniform(-np.pi, np.pi, (n, m))
+    t_end = steps * dt
+    got = _outcome(lambda: simulate_many(net, theta0s, t_end, dt, stop_on_sync=stop_on_sync))
+    want = _outcome(lambda: _oracle_simulate_many(net, theta0s, t_end, dt, stop_on_sync))
+    assert got == want
+
+
+def test_early_stop_evaluates_the_field_only_for_the_steps_taken(monkeypatch):
+    net = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
+    calls = []
+    field = phaselock.dynamics.theta_dot
+
+    def counting(theta, net):
+        calls.append(1)
+        return field(theta, net)
+
+    monkeypatch.setattr(phaselock.dynamics, "theta_dot", counting)
+    traj = simulate(net, [0.2, 0.3, -0.1], 200.0, 0.01, stop_on_sync=True)
+    # a generator that stepped ahead of its consumer would add four calls
+    assert traj.synchronized_at is not None and traj.n_steps < 20000
+    assert len(calls) == 1 + 4 * traj.n_steps
+
+
+def test_early_stop_peak_memory_of_five_network_stays_below_1_2mb():
+    # the run stops after 3294 of 20000 steps; storing the whole horizon
+    # peaked at 1.87 MB, the steps taken are 0.26 MB
+    from phaselock.experiments import FIVE_NETWORK_THETA0, five_network_network
+
+    net = five_network_network()
+    tracemalloc.start()
+    try:
+        traj = simulate(net, FIVE_NETWORK_THETA0, 100.0, 0.005, stop_on_sync=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.n_steps < 20000
+    assert peak < 1.2e6, f"simulate peak {peak / 1e6:.2f} MB"
 
 
 def test_integration_reuses_the_stored_field_as_k1(monkeypatch):
