@@ -524,8 +524,9 @@ def invariance_certificate(
 
     Without ``keep_trajectories`` each RK4 step is judged as it is taken
     and only a per-sample verdict is kept, so memory is O(N n_samples)
-    whatever the horizon; with it the trajectories are stored and judged
-    by the same test.
+    whatever the horizon; the whole batch is judged until a sample first
+    escapes, and only the survivors after that. With it the trajectories
+    are stored and judged by the same test.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -542,7 +543,10 @@ def invariance_certificate(
         trajectories = []
         stayed = np.ones(n_samples, dtype=bool)
         for _, theta, _ in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
-            stayed[stayed] = _stays_in_box(net, theta[:, stayed])
+            if stayed.all():  # verdicts are per column: no gather needed yet
+                stayed = _stays_in_box(net, theta)
+            else:
+                stayed[stayed] = _stays_in_box(net, theta[:, stayed])
 
     n_stayed = int(np.sum(stayed))
     fraction = n_stayed / n_samples

@@ -179,13 +179,13 @@ def _cmd_portrait(args) -> int:
             )
         omega = net.natural_frequencies
         params = planar.PlanarParams(k=gain, delta_omega=float(omega[0] - omega[1]))
-    out = _out_dir(args)
-    grid = vector_field_grid(
+    grid = vector_field_grid(  # rejects the network or grid before --out is made
         net,
         x1_range=(args.x1_min, args.x1_max),
         x2_range=(args.x2_min, args.x2_max),
         resolution=args.grid,
     )
+    out = _out_dir(args)
     write_csv(out / "field.csv", "x1,x2,dx1,dx2", grid)
 
     if params is not None:

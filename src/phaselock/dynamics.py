@@ -13,7 +13,8 @@ go through the edge ends, never through the dense incidence.
 Integration is classical fixed-step RK4, run for every flow (node and
 planar) by one generator that yields each step's state and field on demand
 and raises DivergenceError on a non-finite state; its consumers are loops.
-``simulate_many`` stores the batch and wraps it to (-pi, pi] once, while the
+``simulate_many`` stores the batch and wraps it to (-pi, pi] once, counting
+sync windows over blocks of stored steps rather than at every step, while the
 invariance certificate keeps only a per-sample verdict, in O(N m) memory.
 """
 
@@ -213,6 +214,22 @@ def _rk4_steps(f, y, n_steps, dt):
         yield step, y, k1
 
 
+def _count_sync(dots, start, run, sync_step, window_steps):
+    """Advance the counters in place over the fields ``dots`` (T, N, m) of
+    steps start, start + 1, ...: ``run`` counts each run's consecutive steps
+    of spread below SYNC_TOL, and an open run (sync_step < 0) whose count
+    first reaches the window at a step k >= 1 gets k - window_steps + 1."""
+    small = np.ptp(dots, axis=1) < SYNC_TOL
+    t = np.arange(len(small))[:, None]
+    # the last large-spread row so far, or a virtual one run steps before start
+    runs = t - np.maximum.accumulate(np.where(small, -1 - run, t), axis=0)
+    full = runs >= window_steps
+    full[0] &= start > 0  # step 0 only seeds the counts
+    new = full.any(axis=0) & (sync_step < 0)
+    sync_step[new] = start + full.argmax(axis=0)[new] - window_steps + 1
+    run[:] = runs[-1]
+
+
 def simulate(
     net: OscillatorNetwork,
     theta0,
@@ -253,6 +270,10 @@ def simulate_many(
     times). An early-stopping batch is stored in rows that start small and
     double when full, and it keeps only the steps taken. The trajectories
     view columns of the one stored batch.
+    The sync-window counters run over blocks of at most one window of
+    stored steps: at step 0, then only at the first step where the open run
+    furthest from a full window could complete, and at the last step, so a
+    run that completed in between is still dated at its own step.
     Raises DivergenceError naming the step if a state goes non-finite.
     """
     theta0s = np.asarray(theta0s, dtype=float)
@@ -268,6 +289,7 @@ def simulate_many(
     dots = np.empty_like(thetas)
     run = np.zeros(m, dtype=int)  # consecutive small-spread steps per run
     sync_step = np.full(m, -1, dtype=int)  # step index where the window began
+    counted = check = 0  # steps counted so far; next step to count up to
 
     for k, theta, td in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
         if k == len(thetas):  # the early-stopping store is full: double it
@@ -276,15 +298,17 @@ def simulate_many(
             dots = np.concatenate([dots, np.empty_like(dots[:more])])
         thetas[k] = theta
         dots[k] = td
-        small = np.ptp(td, axis=0) < SYNC_TOL
-        run[~small] = 0
-        run[small] += 1
-        if k == 0:  # step 0 only seeds the counters; windows end on steps taken
+        if k != min(check, n_steps):  # counting now could not change the answer
             continue
-        completed = (run >= window_steps) & (sync_step < 0)
-        sync_step[completed] = k - window_steps + 1
-        if stop_on_sync and np.all(sync_step >= 0):
-            break
+        _count_sync(dots[counted : k + 1], counted, run, sync_step, window_steps)
+        counted = k + 1
+        open_ = sync_step < 0
+        if k > 0 and not open_.any():
+            if stop_on_sync:
+                break
+            check = -1  # every run has synchronized: nothing left to count
+        else:  # the batch stops no sooner than its furthest open run can complete
+            check = k + max(1, (window_steps - run[open_]).max(initial=0))
 
     if k + 1 < len(thetas):  # stopped early: keep only the steps taken
         thetas, dots = thetas[: k + 1].copy(), dots[: k + 1].copy()

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import phaselock.analysis
 from phaselock import (
     INDETERMINATE,
     SEMISTABLE_CANDIDATE,
@@ -721,6 +722,30 @@ def test_streamed_certificate_partial_escape_across_the_wrap():
     # the stored phases wrap at +-pi during the run
     jumps = [np.max(np.abs(np.diff(t.thetas, axis=0))) for t in stored.trajectories]
     assert max(jumps) > np.pi
+
+
+def test_streamed_certificate_gathers_only_after_the_first_escape(monkeypatch):
+    # below the thresholds, 8 of 20 samples escape at steps 10 to 36
+    omega = np.linspace(-1.0, 1.0, 3)
+    net = OscillatorNetwork(3, omega, 0.5 * sufficient_gain_bounds(
+        OscillatorNetwork(3, omega, np.ones(3))))
+    widths, judge = [], phaselock.analysis._stays_in_box
+
+    def judging(net, theta):
+        widths.append(theta.shape[1])
+        return judge(net, theta)
+
+    monkeypatch.setattr(phaselock.analysis, "_stays_in_box", judging)
+    streamed = invariance_certificate(net, n_samples=20, horizon=1.0, dt=0.02, seed=0)
+    monkeypatch.undo()
+    stored = invariance_certificate(
+        net, n_samples=20, horizon=1.0, dt=0.02, seed=0, keep_trajectories=True
+    )
+    assert streamed.n_stayed == _stored_verdict(stored, net) == 12
+    assert _certificate_fields(streamed) == _certificate_fields(stored)
+    # all 20 columns are judged whole until step 10, then only the survivors
+    assert widths[:11] == [20] * 11 and widths[11] < 20 and widths[-1] == 12
+    assert len(set(widths)) > 3
 
 
 @pytest.mark.parametrize("keep", [False, True])

@@ -220,6 +220,24 @@ def test_portrait_of_an_uncoupled_pair_fails_before_writing(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "n, extra, message",
+    [
+        (4, [], "vector_field_grid supports only 2- or 3-oscillator networks"),
+        (3, ["--grid", "1"], "grid resolution must be at least 2 per axis"),
+    ],
+)
+def test_portrait_rejected_by_the_grid_leaves_no_out_directory(
+    n, extra, message, tmp_path, capsys
+):
+    path = tmp_path / "net.json"
+    write_network(OscillatorNetwork(n, np.arange(n), np.ones(n * (n - 1) // 2)), path)
+    out = tmp_path / "out"
+    assert main(["portrait", "--network", str(path), "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fixture", ["pair_file", "chain_file"])
 def test_portrait_leaves_the_incidence_unbuilt(fixture, request, tmp_path, monkeypatch):
     parsed, parse = [], phaselock.cli.parse_network

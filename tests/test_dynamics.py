@@ -352,6 +352,98 @@ def test_simulate_many_matches_the_reducer_oracle(
     assert got == want
 
 
+@pytest.mark.parametrize("stop_on_sync", [False, True])
+@pytest.mark.parametrize("k, steps", [(18.5, 171), (20.0, 180), (26.0, 185)])
+def test_sync_completing_in_the_final_partial_block_is_found(k, steps, stop_on_sync):
+    # run 0 starts near the lock and syncs late; run 1 sits within 1e-7 of
+    # the unstable x = pi and stays open, so the counter's next scheduled
+    # pass lies beyond the horizon and only the final step's pass sees run 0
+    net = OscillatorNetwork(2, [0.1, -0.1], [k])
+    lock = np.arcsin(0.2 / k)
+    theta0s = np.array([[lock + 0.02, np.pi + 1e-7], [0.0, 0.0]])
+    got = _outcome(lambda: simulate_many(net, theta0s, steps * 0.01, 0.01,
+                                         stop_on_sync=stop_on_sync))
+    want = _outcome(lambda: _oracle_simulate_many(net, theta0s, steps * 0.01, 0.01,
+                                                  stop_on_sync))
+    assert got == want
+    assert [sync is not None for *_, sync in got] == [True, False]
+
+
+def _per_step_sync(dots, window_steps, run, sync_step):
+    """The per-step counter update of the reference integrator, recording
+    (run, sync_step) after every step."""
+    states = []
+    for k, td in enumerate(dots):
+        small = np.ptp(td, axis=0) < SYNC_TOL
+        run[~small] = 0
+        run[small] += 1
+        if k > 0:
+            completed = (run >= window_steps) & (sync_step < 0)
+            sync_step[completed] = k - window_steps + 1
+        states.append((run.copy(), sync_step.copy()))
+    return states
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window_steps=st.sampled_from([1, 2, 3, 100]),
+    m=st.integers(1, 5),
+    n_rows=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sync_counter_matches_the_per_step_update(window_steps, m, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    # per column: alternating streaks of small spread (often one step short
+    # of a window, a window, or one more) and of large spread, either first
+    small = np.empty((n_rows, m), dtype=bool)
+    for j in range(m):
+        col, is_small = [], bool(rng.integers(2))
+        while len(col) < n_rows:
+            if is_small:
+                near = window_steps + int(rng.integers(-1, 2))
+                col += [True] * int(rng.choice([near, rng.integers(1, 3 * window_steps + 1)]))
+            else:
+                col += [False] * int(rng.integers(1, 4))
+            is_small = not is_small
+        small[:, j] = col[:n_rows]
+    # spreads straddle SYNC_TOL: 0 or half of it count as small, 1e-6 itself does not
+    spread = np.where(small, rng.choice([0.0, 0.5e-6], small.shape),
+                      rng.choice([SYNC_TOL, 1.0], small.shape))
+    dots = np.stack([np.zeros_like(spread), spread], axis=1)  # (T, 2, m)
+    # some runs already synchronized before the first step
+    pre = np.where(rng.random(m) < 0.2, rng.integers(0, 5, m), -1)
+
+    want = _per_step_sync(dots, window_steps, np.zeros(m, dtype=int), pre.copy())
+    run, sync_step = np.zeros(m, dtype=int), pre.copy()
+    cuts = np.flatnonzero(rng.random(n_rows) < rng.choice([0.02, 0.2, 0.9])) + 1
+    start = 0
+    for stop in [*cuts[cuts < n_rows], n_rows]:
+        phaselock.dynamics._count_sync(dots[start:stop], start, run, sync_step, window_steps)
+        assert np.array_equal(run, want[stop - 1][0])
+        assert np.array_equal(sync_step, want[stop - 1][1])
+        start = stop
+
+
+def test_early_stop_counts_sync_windows_in_blocks(monkeypatch):
+    # a per-step counter would run 3295 times on this run; two consecutive
+    # blocks always span more than one 200-step window
+    from phaselock.experiments import FIVE_NETWORK_THETA0, five_network_network
+
+    calls = []
+    count = phaselock.dynamics._count_sync
+
+    def counting(dots, *args):
+        calls.append(len(dots))
+        return count(dots, *args)
+
+    monkeypatch.setattr(phaselock.dynamics, "_count_sync", counting)
+    traj = simulate(five_network_network(), FIVE_NETWORK_THETA0, 100.0, 0.005,
+                    stop_on_sync=True)
+    window_steps = round(SYNC_WINDOW / 0.005)
+    assert traj.n_steps == 3294 and sum(calls) == traj.n_steps + 1
+    assert len(calls) <= 2 * traj.n_steps / window_steps + 2
+
+
 def test_early_stop_evaluates_the_field_only_for_the_steps_taken(monkeypatch):
     net = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
     calls = []
