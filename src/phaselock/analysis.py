@@ -8,7 +8,8 @@ block matrix A = [[0, I], [0, G(X*)]], G = -B^T B K diag(cos X*), whose
 spectrum is 2e - (N-1) structural zeros plus the spectrum of -L(X*) on the
 complement of the ones vector, L(X) = B K diag(cos X) B^T being the N x N
 weighted graph Laplacian. Classification, the Newton solve and the
-nontangency rank test work with L, so they form no e x e matrix.
+nontangency rank test work with L, so they form no e x e matrix; L and the
+other edge products are imported from ``network``, which owns the edge order.
 
 The invariant set H is the open box |x_i| < pi/2 intersected with the
 column space, with frequency differences slaved to the phases through the
@@ -25,8 +26,6 @@ import numpy as np
 from .dynamics import (
     EdgeState,
     Trajectory,
-    _apply_edge_laplacian,
-    _edge_diff,
     _edge_field,
     _node_field,
     _rk4_steps,
@@ -38,6 +37,7 @@ from .dynamics import (
 )
 from .errors import NoEquilibriumError, SingularJacobianError
 from .network import OscillatorNetwork, is_connected
+from .network import _edge_diff, _laplacian, _neighbor_sum, _node_sums
 
 __all__ = [
     "SEMISTABLE_CANDIDATE",
@@ -76,18 +76,10 @@ CONSISTENCY_TOL = 1e-9  # set H: max-norm mismatch of V with the identity
 
 
 def _edge_frequency_mismatch(net: OscillatorNetwork) -> np.ndarray:
-    """Per-edge |omega_i - omega_j| in edge order, i.e. |B^T omega|."""
-    return np.abs(_edge_diff(net, net.natural_frequencies))
-
-
-def _laplacian(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
-    """Weighted Laplacian B diag(w) B^T from edge weights w (edge index last)."""
-    n = net.n_oscillators
-    lap = np.zeros(w.shape[:-1] + (n, n))
-    lap[(..., *net._ends)] = -w
-    lap += np.swapaxes(lap, -1, -2)
-    lap[..., np.arange(n), np.arange(n)] = -lap.sum(axis=-1)
-    return lap
+    """Per-edge |omega_i - omega_j| in edge order, i.e. |B^T omega|; a
+    difference beyond the float range is inf, the bound it stands for."""
+    with np.errstate(over="ignore"):
+        return np.abs(_edge_diff(net, net.natural_frequencies))
 
 
 def _restricted_spectrum(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
@@ -97,14 +89,6 @@ def _restricted_spectrum(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
     u = np.eye(n)[-1] - 1.0 / np.sqrt(n)
     v = np.eye(n, n - 1) - (2.0 / (u @ u)) * np.outer(u, u[:-1])
     return np.linalg.eigvalsh(v.T @ _laplacian(net, w) @ v)
-
-
-def _neighbor_sum(net: OscillatorNetwork, c: np.ndarray) -> np.ndarray:
-    """Per edge (i, j), the sum of c over the other edges at i or j:
-    s_i + s_j - 2 c_ij with s the node strength of c (edge index last)."""
-    i, j = net._ends
-    s = np.diagonal(_laplacian(net, c), axis1=-2, axis2=-1)
-    return s[..., i] + s[..., j] - 2.0 * c
 
 
 def sync_frequency(net: OscillatorNetwork) -> float:
@@ -119,7 +103,9 @@ def sufficient_gain_bounds(net: OscillatorNetwork) -> np.ndarray:
 
 
 def uniform_critical_gain(net: OscillatorNetwork) -> float:
-    """Uniform-gain threshold N max|omega_i - omega_j| / (2(N-1))."""
+    """K0 = N max|omega_i - omega_j| / (2(N-1)), a necessary condition on a
+    uniform gain for a phase-locked state (Jadbabaie, Motee & Barahona,
+    ACC 2004; Chopra & Spong, IEEE TAC 2009), not the critical gain."""
     n = net.n_oscillators
     return float(n * np.max(_edge_frequency_mismatch(net)) / (2.0 * (n - 1)))
 
@@ -229,11 +215,10 @@ def solve_equilibrium(
             raise ValueError("theta_guess must have phase spread below pi")
     theta = theta - theta[-1]  # pin the last phase to zero
 
-    i, j = net._ends
     scale = max(1.0, float(np.max(net.coupling_gains)))
 
     for _ in range(NEWTON_MAX_ITER):
-        x = theta[i] - theta[j]
+        x = _edge_diff(net, theta)
         f = theta_dot(theta, net)
         if f.max() - f.min() < tol:
             return x
@@ -358,7 +343,7 @@ def in_set_h(state: EdgeState, net: OscillatorNetwork) -> SetHMembership:
         raise ValueError(f"state has {x.shape[0]} edges, expected {e}")
     in_box = bool(np.all(np.abs(x) < np.pi / 2))
     # projector onto Col(B^T) is B^T B / N for the complete-graph incidence
-    residual = x - _apply_edge_laplacian(net, x) / net.n_oscillators
+    residual = x - _edge_diff(net, _node_sums(net, x)) / net.n_oscillators
     in_colspace = bool(np.linalg.norm(residual) <= COLSPACE_TOL)
     v_consistent = bool(np.max(np.abs(v - _edge_field(net, x))) <= CONSISTENCY_TOL)
     slack = _set_h_inequality(net, np.sin(np.abs(x)))
@@ -378,7 +363,7 @@ def lyapunov_v2_along(traj: Trajectory, net: OscillatorNetwork):
     v = traj.edge_v(net)
     v2 = 0.5 * np.sum(v * v, axis=1)
     weighted = (net._k_diag * np.cos(x)) * v
-    v2_dot = -np.sum(v * _apply_edge_laplacian(net, weighted), axis=1)
+    v2_dot = -np.sum(v * _edge_diff(net, _node_sums(net, weighted)), axis=1)
     return v2, v2_dot
 
 
@@ -493,9 +478,8 @@ def _stays_in_box(net: OscillatorNetwork, theta: np.ndarray) -> np.ndarray:
     ok = theta.max(axis=0) - theta.min(axis=0) < np.pi / 2 - 1e-12
     rest = ~ok
     if np.any(rest):
-        i, j = net._ends
-        w = wrap_phase(theta[:, rest])
-        ok[rest] = np.all(np.abs(wrap_phase(w[i] - w[j])) < np.pi / 2, axis=0)
+        w = wrap_phase(theta[:, rest].T)
+        ok[rest] = np.all(np.abs(wrap_phase(_edge_diff(net, w))) < np.pi / 2, axis=1)
     return ok
 
 
@@ -542,11 +526,12 @@ def invariance_certificate(
     else:
         trajectories = []
         stayed = np.ones(n_samples, dtype=bool)
-        for _, theta, _ in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
-            if stayed.all():  # verdicts are per column: no gather needed yet
-                stayed = _stays_in_box(net, theta)
-            else:
-                stayed[stayed] = _stays_in_box(net, theta[:, stayed])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, theta, _ in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
+                if stayed.all():  # verdicts are per column: no gather needed yet
+                    stayed = _stays_in_box(net, theta)
+                else:
+                    stayed[stayed] = _stays_in_box(net, theta[:, stayed])
 
     n_stayed = int(np.sum(stayed))
     fraction = n_stayed / n_samples

@@ -7,8 +7,9 @@ K = diag(gains)/N. It is evaluated in O(N^2) as omega + c * (W s) - s * (W c)
 with W = Ktilde/N and s, c = sin, cos(theta - theta_1). Edge coordinates are
 X = B^T theta (phase differences) and V = B^T theta_dot (frequency
 differences); in these coordinates the flow is Xdot = V,
-Vdot = G(X) V with G(X) = -B^T B K diag(cos X). Products with B^T and B^T B
-go through the edge ends, never through the dense incidence.
+Vdot = G(X) V with G(X) = -B^T B K diag(cos X). B^T B y is written
+``_edge_diff(net, _node_sums(net, y))`` with the edge products of
+``network``, so no code here reads the edge order or the dense incidence.
 
 Integration is classical fixed-step RK4, run for every flow (node and
 planar) by one generator that yields each step's state and field on demand
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import OscillatorNetwork
+from .network import OscillatorNetwork, _edge_diff, _node_sums
 
 __all__ = [
     "EdgeState",
@@ -95,42 +96,23 @@ def theta_dot(theta, net: OscillatorNetwork) -> np.ndarray:
     return out
 
 
-def edge_transform(theta, theta_dot_vec, b) -> EdgeState:
+def edge_transform(theta, theta_dot_vec, net: OscillatorNetwork) -> EdgeState:
     """Map node phases and frequencies to edge coordinates.
 
     X = B^T theta wrapped componentwise to (-pi, pi]; V = B^T theta_dot,
     unwrapped. V = 0 exactly when all node frequencies agree.
     """
-    b = np.asarray(b, dtype=float)
-    x = wrap_phase(b.T @ np.asarray(theta, dtype=float))
-    v = b.T @ np.asarray(theta_dot_vec, dtype=float)
-    return EdgeState(x=x, v=v)
-
-
-def _edge_diff(net: OscillatorNetwork, z: np.ndarray) -> np.ndarray:
-    """B^T z: per edge (i, j), z_i - z_j (node index last)."""
-    i, j = net._ends
-    return z.take(i, axis=-1) - z.take(j, axis=-1)
-
-
-def _apply_edge_laplacian(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
-    """B^T B y for edge values y (edge index last), through the edge ends:
-    the node sums B y are two bincounts, offset so one call covers all rows."""
-    i, j = net._ends
-    n = net.n_oscillators
-    rows = y.reshape(-1, y.shape[-1])
-    size = len(rows) * n
-    at = n * np.arange(len(rows))[:, None]
-    by = np.bincount((at + i).ravel(), rows.ravel(), size) - np.bincount(
-        (at + j).ravel(), rows.ravel(), size
-    )
-    return _edge_diff(net, by.reshape(y.shape[:-1] + (n,)))
+    z = np.array([theta, theta_dot_vec], dtype=float)
+    if z.shape != (2, net.n_oscillators):
+        raise ValueError(f"theta and theta_dot must have shape ({net.n_oscillators},)")
+    x, v = _edge_diff(net, z)
+    return EdgeState(x=_wrap_in_place(x), v=v)
 
 
 def _edge_field(net: OscillatorNetwork, x: np.ndarray) -> np.ndarray:
     """First-order edge field B^T omega - B^T B K sin(X) (edge index last)."""
-    return _edge_diff(net, net.natural_frequencies) - _apply_edge_laplacian(
-        net, net._k_diag * np.sin(x)
+    return _edge_diff(net, net.natural_frequencies) - _edge_diff(
+        net, _node_sums(net, net._k_diag * np.sin(x))
     )
 
 
@@ -140,7 +122,7 @@ def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:
     if x.shape != (net.n_edges,):
         raise ValueError(f"x must have shape ({net.n_edges},)")
     # B^T B applied row by row to diag(d) gives diag(d) B^T B = (B^T B diag(d))^T
-    return -_apply_edge_laplacian(net, np.diag(net._k_diag * np.cos(x))).T
+    return -_edge_diff(net, _node_sums(net, np.diag(net._k_diag * np.cos(x)))).T
 
 
 @dataclass(frozen=True)
@@ -199,7 +181,9 @@ def _rk4_steps(f, y, n_steps, dt):
     Yields ``(k, y_k, f(y_k))`` for k = 0, 1, ..., n_steps, each field value
     being the next step's first stage k1; a step is computed only when the
     consumer asks for it, so a loop that breaks costs nothing further.
-    Raises DivergenceError naming the step if any state goes non-finite.
+    Raises DivergenceError naming the step if any state goes non-finite;
+    consumers loop under np.errstate(over="ignore", invalid="ignore") so it
+    is the only signal (set in here, a ``yield`` would leak it out).
     """
     k1 = f(y)
     yield 0, y, k1
@@ -277,8 +261,8 @@ def simulate_many(
     Raises DivergenceError naming the step if a state goes non-finite.
     """
     theta0s = np.asarray(theta0s, dtype=float)
-    if theta0s.ndim != 2 or theta0s.shape[0] != net.n_oscillators:
-        raise ValueError(f"theta0s must have shape ({net.n_oscillators}, m)")
+    if theta0s.ndim != 2 or theta0s.shape[0] != net.n_oscillators or not theta0s.size:
+        raise ValueError(f"theta0s must have shape ({net.n_oscillators}, m), m >= 1")
     theta0s = _finite_state(theta0s)
     n_steps = _validate_grid(t_end, dt)
     m = theta0s.shape[1]
@@ -291,24 +275,25 @@ def simulate_many(
     sync_step = np.full(m, -1, dtype=int)  # step index where the window began
     counted = check = 0  # steps counted so far; next step to count up to
 
-    for k, theta, td in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
-        if k == len(thetas):  # the early-stopping store is full: double it
-            more = min(k, n_steps + 1 - k)
-            thetas = np.concatenate([thetas, np.empty_like(thetas[:more])])
-            dots = np.concatenate([dots, np.empty_like(dots[:more])])
-        thetas[k] = theta
-        dots[k] = td
-        if k != min(check, n_steps):  # counting now could not change the answer
-            continue
-        _count_sync(dots[counted : k + 1], counted, run, sync_step, window_steps)
-        counted = k + 1
-        open_ = sync_step < 0
-        if k > 0 and not open_.any():
-            if stop_on_sync:
-                break
-            check = -1  # every run has synchronized: nothing left to count
-        else:  # the batch stops no sooner than its furthest open run can complete
-            check = k + max(1, (window_steps - run[open_]).max(initial=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, theta, td in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
+            if k == len(thetas):  # the early-stopping store is full: double it
+                more = min(k, n_steps + 1 - k)
+                thetas = np.concatenate([thetas, np.empty_like(thetas[:more])])
+                dots = np.concatenate([dots, np.empty_like(dots[:more])])
+            thetas[k] = theta
+            dots[k] = td
+            if k != min(check, n_steps):  # counting now could not change the answer
+                continue
+            _count_sync(dots[counted : k + 1], counted, run, sync_step, window_steps)
+            counted = k + 1
+            open_ = sync_step < 0
+            if k > 0 and not open_.any():
+                if stop_on_sync:
+                    break
+                check = -1  # every run has synchronized: nothing left to count
+            else:  # the batch stops no sooner than its furthest open run can complete
+                check = k + max(1, (window_steps - run[open_]).max(initial=0))
 
     if k + 1 < len(thetas):  # stopped early: keep only the steps taken
         thetas, dots = thetas[: k + 1].copy(), dots[: k + 1].copy()
@@ -327,7 +312,6 @@ def simulate_many(
 
 def vector_field_grid(
     net: OscillatorNetwork,
-    reduced_coords: tuple[int, int] = (0, 1),
     x1_range: tuple[float, float] = (-np.pi, np.pi),
     x2_range: tuple[float, float] = (-np.pi, np.pi),
     resolution: int = 21,
@@ -336,10 +320,10 @@ def vector_field_grid(
 
     Returns rows (x1, x2, dx1, dx2), x1 varying slowest. For two
     oscillators the plane is the edge state (x, v) with field
-    (v, G(x) v); for three it is the pair of edge coordinates named by
-    ``reduced_coords`` with the third resolved through x3 = x2 - x1 and
-    the first-order field Xdot = B^T omega - B^T B K sin(X). Larger
-    networks have no planar reduction.
+    (v, G(x) v); for three it is the first two edge coordinates, with the
+    third resolved through x3 = x2 - x1 and the first-order field
+    Xdot = B^T omega - B^T B K sin(X). Larger networks have no planar
+    reduction.
     """
     n = net.n_oscillators
     if n > 3:
@@ -356,16 +340,6 @@ def vector_field_grid(
         # G(x) = -(B^T B) K cos x with B^T B = [[2]]
         return np.column_stack([a, b_, b_, -2.0 * net._k_diag[0] * np.cos(a) * b_])
 
-    i, j = reduced_coords
-    if not (0 <= i < j <= 2):
-        raise ValueError("reduced_coords must be a pair of distinct edge indices in 0..2")
-    # the column space of B^T for N = 3 is the cycle s.X = x1 - x2 + x3 = 0,
-    # so the remaining coordinate is x_k = -s_k s_i x_i - s_k s_j x_j
-    s = np.array([1.0, -1.0, 1.0])
-    k = 3 - i - j
-    x = np.empty((a.size, 3))
-    x[:, i] = a
-    x[:, j] = b_
-    x[:, k] = (-s[k] * s[i]) * a + (-s[k] * s[j]) * b_
-    dx = _edge_field(net, x)
-    return np.column_stack([a, b_, dx[:, i], dx[:, j]])
+    # edges (1,2), (1,3), (2,3): x3 = theta_2 - theta_3 = x2 - x1
+    dx = _edge_field(net, np.column_stack([a, b_, b_ - a]))
+    return np.column_stack([a, b_, dx[:, 0], dx[:, 1]])

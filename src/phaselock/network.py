@@ -5,13 +5,16 @@ lexicographic order (1,2), (1,3), ..., (1,N), (2,3), ..., (N-1,N); a zero
 coupling gain marks an absent edge, so a single gain vector describes any
 interconnection topology. The oriented incidence matrix puts +1 on the
 lower-indexed vertex of each edge, which fixes the sign convention for all
-edge-space quantities downstream; the matrix is built on first use.
+edge-space quantities downstream.
+
+Only this module reads the edge order: B^T z (``_edge_diff``), B y
+(``_node_sums``), B diag(w) B^T (``_laplacian``) and ``_neighbor_sum`` go
+through the edge ends, and ``incidence_matrix`` is the dense reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -110,11 +113,6 @@ class OscillatorNetwork:
         w[self._ends] = self._k_diag  # row-major upper triangle = edge order
         object.__setattr__(self, "_w", _freeze(w + w.T))
 
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Oriented complete-graph incidence matrix, built on first use."""
-        return _freeze(incidence_matrix(self.n_oscillators))
-
     @property
     def n_edges(self) -> int:
         return edge_count(self.n_oscillators)
@@ -141,6 +139,44 @@ class OscillatorNetwork:
         # + 0.0 turns -0.0 into 0.0, which __eq__ counts as equal
         arrays = (self.natural_frequencies + 0.0, self.coupling_gains + 0.0)
         return hash((self.n_oscillators, *(a.tobytes() for a in arrays)))
+
+
+def _edge_diff(net: OscillatorNetwork, z: np.ndarray) -> np.ndarray:
+    """B^T z: per edge (i, j), z_i - z_j (node index last)."""
+    i, j = net._ends
+    return z.take(i, -1) - z.take(j, -1)  # axis passed by position: cheaper call
+
+
+def _node_sums(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
+    """B y for edge values y (edge index last): two bincounts, offset so
+    one call covers all rows."""
+    i, j = net._ends
+    n = net.n_oscillators
+    rows = y.reshape(-1, y.shape[-1])
+    size = len(rows) * n
+    at = n * np.arange(len(rows))[:, None]
+    by = np.bincount((at + i).ravel(), rows.ravel(), size) - np.bincount(
+        (at + j).ravel(), rows.ravel(), size
+    )
+    return by.reshape(y.shape[:-1] + (n,))
+
+
+def _laplacian(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
+    """Weighted Laplacian B diag(w) B^T from edge weights w (edge index last)."""
+    n = net.n_oscillators
+    lap = np.zeros(w.shape[:-1] + (n, n))
+    lap[(..., *net._ends)] = -w
+    lap += np.swapaxes(lap, -1, -2)
+    lap[..., np.arange(n), np.arange(n)] = -lap.sum(axis=-1)
+    return lap
+
+
+def _neighbor_sum(net: OscillatorNetwork, c: np.ndarray) -> np.ndarray:
+    """Per edge (i, j), the sum of c over the other edges at i or j:
+    s_i + s_j - 2 c_ij with s the node strength of c (edge index last)."""
+    i, j = net._ends
+    s = np.diagonal(_laplacian(net, c), axis1=-2, axis2=-1)
+    return s[..., i] + s[..., j] - 2.0 * c
 
 
 def is_connected(net: OscillatorNetwork) -> bool:

@@ -205,6 +205,7 @@ def simulate_planar(p: PlanarParams, x0, t_end: float, dt: float = 0.01):
     x0 = _finite_state(x0)
     n_steps = _validate_grid(t_end, dt)
     out = np.empty((n_steps + 1,) + x0.shape)
-    for k, x, _ in _rk4_steps(lambda x: planar_field(x, p), x0, n_steps, dt):
-        out[k] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, x, _ in _rk4_steps(lambda x: planar_field(x, p), x0, n_steps, dt):
+            out[k] = x
     return np.arange(n_steps + 1) * dt, out

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_dynamics import forbid_incidence
 from test_tables import oracle_json
 
 import phaselock.cli
@@ -240,16 +241,9 @@ def test_portrait_rejected_by_the_grid_leaves_no_out_directory(
 
 @pytest.mark.parametrize("fixture", ["pair_file", "chain_file"])
 def test_portrait_leaves_the_incidence_unbuilt(fixture, request, tmp_path, monkeypatch):
-    parsed, parse = [], phaselock.cli.parse_network
-
-    def parse_and_keep(path):
-        parsed.append(parse(path))
-        return parsed[-1]
-
-    monkeypatch.setattr(phaselock.cli, "parse_network", parse_and_keep)
+    forbid_incidence(monkeypatch)
     path = request.getfixturevalue(fixture)
     assert main(["portrait", "--network", str(path), "--out", str(tmp_path)]) == 0
-    assert len(parsed) == 1 and "incidence" not in parsed[0].__dict__
 
 
 def test_experiment_three_chain(tmp_path, capsys):

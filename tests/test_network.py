@@ -1,7 +1,10 @@
-"""Incidence matrix, edge Laplacian, and connectivity tests."""
+"""Incidence matrix, edge Laplacian, edge products and connectivity tests."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from phaselock import (
     OscillatorNetwork,
@@ -12,6 +15,7 @@ from phaselock import (
     incidence_matrix,
     is_connected,
 )
+from phaselock.network import _edge_diff, _laplacian, _neighbor_sum, _node_sums
 
 
 def brute_force_connected(n, active_pairs):
@@ -88,6 +92,63 @@ def test_incidence_identities(n):
     assert np.array_equal(b @ (b.T @ b), n * b)  # exact integer arithmetic
     assert np.linalg.matrix_rank(b.T) == n - 1
     assert np.all(b.sum(axis=0) == 0)
+
+
+# The edge products through the edge ends against the dense incidence, at
+# the leading shapes their callers use: one state, a batch, a stack of them.
+
+
+@st.composite
+def product_cases(draw, size, elements):
+    """A network at N in 2..12, a leading shape, and values of shape
+    leading + (size(N),) drawn from ``elements``."""
+    n = draw(st.integers(2, 12))
+    lead = draw(st.sampled_from([(), (3,), (2, 3)]))
+    values = draw(arrays(float, lead + (size(n),), elements=elements))
+    net = OscillatorNetwork(n, np.zeros(n), np.zeros(edge_count(n)))
+    return net, values, incidence_matrix(n).astype(float)
+
+
+# integers times 2^-10 keep every sum of up to 11 of them exact
+EXACT = st.integers(-(2**30), 2**30).map(lambda k: k * 2.0**-10)
+REAL = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases(lambda n: n, st.floats(-1e6, 1e6)))
+def test_edge_diff_is_b_transpose_exactly(case):
+    net, z, b = case
+    assert np.array_equal(_edge_diff(net, z), z @ b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases(edge_count, EXACT))
+def test_node_sums_are_b_exactly(case):
+    net, y, b = case
+    assert np.array_equal(_node_sums(net, y), y @ b.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases(edge_count, REAL))
+def test_laplacian_is_b_diag_w_b_transpose(case):
+    net, w, b = case
+    dense = (b * w[..., None, :]) @ b.T
+    got = _laplacian(net, w)
+    assert got.shape == dense.shape
+    scale = 1.0 + np.abs(w).sum(axis=-1)[..., None, None]
+    assert np.all(np.abs(got - dense) <= 1e-14 * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases(edge_count, REAL))
+def test_neighbor_sum_is_the_off_diagonal_edge_laplacian(case):
+    net, c, b = case
+    # |B^T B| has 2 on the diagonal and 1 where two edges share a vertex
+    adjacent = np.abs(b.T @ b) - 2.0 * np.eye(net.n_edges)
+    got = _neighbor_sum(net, c)
+    assert got.shape == c.shape
+    scale = 1.0 + np.abs(c).sum(axis=-1)[..., None]
+    assert np.all(np.abs(got - c @ adjacent) <= 1e-14 * scale)
 
 
 def test_is_connected_open_chain():

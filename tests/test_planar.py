@@ -1,6 +1,7 @@
 """Two-oscillator planar analysis: trapping region, cones, dichotomy."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,9 +154,9 @@ def test_simulate_planar_rejects_non_finite_inputs(x0, t_end, dt):
 
 def test_stiff_planar_run_raises_divergence():
     p = PlanarParams(k=1e6, delta_omega=0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError):
-            simulate_planar(p, np.array([0.1, 1.0]), 1.0, 0.01)
+    with warnings.catch_warnings(), pytest.raises(DivergenceError):
+        warnings.simplefilter("error")  # the error is the only signal
+        simulate_planar(p, np.array([0.1, 1.0]), 1.0, 0.01)
 
 
 def test_direction_cone_degenerate_at_zero():
