@@ -8,8 +8,10 @@ block matrix A = [[0, I], [0, G(X*)]], G = -B^T B K diag(cos X*), whose
 spectrum is 2e - (N-1) structural zeros plus the spectrum of -L(X*) on the
 complement of the ones vector, L(X) = B K diag(cos X) B^T being the N x N
 weighted graph Laplacian. Classification, the Newton solve and the
-nontangency rank test work with L, so they form no e x e matrix; L and the
-other edge products are imported from ``network``, which owns the edge order.
+nontangency rank test all work with L on that complement, in one
+Householder basis, so they form no e x e matrix and pin no phase; Newton
+and the rank test share one rank rule. L and the other edge products are
+imported from ``network``, which owns the edge order.
 
 The invariant set H is the open box |x_i| < pi/2 intersected with the
 column space, with frequency differences slaved to the phases through the
@@ -68,7 +70,7 @@ SEMISTABLE_CANDIDATE = "semistable-candidate"
 UNSTABLE = "unstable"
 INDETERMINATE = "indeterminate"
 
-RANK_TOL = 1e-10  # relative singular-value cutoff for rank decisions
+RANK_TOL = 1e-10  # relative eigenvalue cutoff for rank decisions
 NEWTON_MAX_ITER = 100  # Newton iterations before NoEquilibriumError
 ZERO_TOL = 1e-9  # eigenvalue cutoff for "negligible", relative to |A|_2
 COLSPACE_TOL = 1e-9  # set H: 2-norm distance of X from the column space
@@ -82,13 +84,17 @@ def _edge_frequency_mismatch(net: OscillatorNetwork) -> np.ndarray:
         return np.abs(_edge_diff(net, net.natural_frequencies))
 
 
-def _restricted_spectrum(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of L(w) on the complement of the ones vector,
-    in the basis of a Householder reflector taking e_N to ones/sqrt(N)."""
+def _restricted_laplacian(net: OscillatorNetwork, w: np.ndarray):
+    """Householder basis V of the complement of the ones vector, and V^T L(w) V."""
     n = net.n_oscillators
     u = np.eye(n)[-1] - 1.0 / np.sqrt(n)
     v = np.eye(n, n - 1) - (2.0 / (u @ u)) * np.outer(u, u[:-1])
-    return np.linalg.eigvalsh(v.T @ _laplacian(net, w) @ v)
+    return v, v.T @ _laplacian(net, w) @ v
+
+
+def _full_rank(eigs: np.ndarray) -> bool:
+    """The rank rule: every |eigenvalue| lies above RANK_TOL times the largest."""
+    return bool(np.all(np.abs(eigs) > RANK_TOL * np.abs(eigs).max()))
 
 
 def sync_frequency(net: OscillatorNetwork) -> float:
@@ -119,7 +125,8 @@ def onset_lower_bounds(net: OscillatorNetwork) -> np.ndarray:
     """
     n = net.n_oscillators
     neighbor = _neighbor_sum(net, net.coupling_gains)
-    return np.maximum(0.0, 0.5 * (n * _edge_frequency_mismatch(net) - neighbor))
+    with np.errstate(over="ignore"):  # a mismatch past the float range: inf
+        return np.maximum(0.0, 0.5 * (n * _edge_frequency_mismatch(net) - neighbor))
 
 
 @dataclass(frozen=True)
@@ -193,14 +200,16 @@ def solve_equilibrium(
     phase differences X* = B^T theta*.
 
     Newton runs on the node field f = omega - B K sin(B^T theta), whose edge
-    residual B^T f has max norm ptp(f). The last node phase is pinned to
-    zero, which removes the common-rotation nullspace; the step solves
-    L(X)[:, :-1] step = f - mean(f) in the least-squares sense, which is the
-    least-squares step of the edge system. Raises SingularJacobianError when
-    the Jacobian drops rank (a cos(x_i) = 0 crossing, or a disconnected
-    positive-gain graph, which the message then names) and NoEquilibriumError
-    when the residual does not reach ``tol`` within ``NEWTON_MAX_ITER`` iterations,
-    which typically means the gains are below critical.
+    residual B^T f has max norm ptp(f). Its Jacobian -L(X) is singular along
+    the ones vector (the common rotation), so each step is taken on the
+    complement: with V the basis of ``_restricted_laplacian`` and
+    V^T L(X) V = Q diag(lambda) Q^T, theta += V Q diag(1/lambda) Q^T V^T f.
+    The same eigenvalues decide rank. Raises SingularJacobianError when
+    L(X) drops rank on the complement (a cos(x_i) = 0 crossing, or a
+    disconnected positive-gain graph, which the message then names) and
+    NoEquilibriumError when the residual is not finite or does not reach
+    ``tol`` within ``NEWTON_MAX_ITER`` iterations, which typically means
+    the gains are below critical.
     """
     n = net.n_oscillators
     if theta_guess is None:
@@ -213,28 +222,29 @@ def solve_equilibrium(
             raise ValueError("theta_guess must be finite")
         if np.ptp(theta) >= np.pi:
             raise ValueError("theta_guess must have phase spread below pi")
-    theta = theta - theta[-1]  # pin the last phase to zero
 
     scale = max(1.0, float(np.max(net.coupling_gains)))
 
-    for _ in range(NEWTON_MAX_ITER):
-        x = _edge_diff(net, theta)
-        f = theta_dot(theta, net)
-        if f.max() - f.min() < tol:
-            return x
-        # sqrt(N) sv are the singular values of the edge Jacobian
-        # -B^T B K diag(cos X) B^T[:, :-1]
-        u, sv, vt = np.linalg.svd(
-            _laplacian(net, net._k_diag * np.cos(x))[:, :-1], full_matrices=False
-        )
-        if np.sqrt(n) * sv[0] < 1e-12 * scale or sv[-1] < RANK_TOL * sv[0]:
-            cause = (
-                "equilibrium near a cos(x_i) = 0 crossing"
-                if is_connected(net)
-                else "the positive-gain graph is disconnected"
-            )
-            raise SingularJacobianError(f"Jacobian rank-deficient at iterate; {cause}")
-        theta[:-1] += vt.T @ ((u.T @ (f - f.mean())) / sv)
+    # an overflowing input ends in a non-finite residual, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(NEWTON_MAX_ITER):
+            x = _edge_diff(net, theta)
+            f = theta_dot(theta, net)
+            residual = f.max() - f.min()
+            if not np.isfinite(residual):
+                raise NoEquilibriumError(f"Newton residual is not finite ({residual:g})")
+            if residual < tol:
+                return x
+            v, lap = _restricted_laplacian(net, net._k_diag * np.cos(x))
+            lam, q = np.linalg.eigh(lap)
+            if np.abs(lam).max() < 1e-12 * scale or not _full_rank(lam):
+                cause = (
+                    "equilibrium near a cos(x_i) = 0 crossing"
+                    if is_connected(net)
+                    else "the positive-gain graph is disconnected"
+                )
+                raise SingularJacobianError(f"Jacobian rank-deficient at iterate; {cause}")
+            theta += v @ (q @ ((q.T @ (v.T @ f)) / lam))
 
     raise NoEquilibriumError(
         f"Newton did not reach |residual| < {tol:g} in {NEWTON_MAX_ITER} iterations; "
@@ -273,7 +283,7 @@ def classify_stability(net: OscillatorNetwork, x_star) -> StabilityReport:
     if x_star.shape != (e,):
         raise ValueError(f"x_star must have shape ({e},)")
     w = net._k_diag * np.cos(x_star)
-    spec, spec_sq = _restricted_spectrum(net, np.stack([w, w * w]))
+    spec, spec_sq = np.linalg.eigvalsh(_restricted_laplacian(net, np.stack([w, w * w]))[1])
     restricted = -spec[::-1]
     expected_zeros = 2 * e - (n - 1)
     eigs = np.sort(np.concatenate([np.zeros(expected_zeros), restricted])).astype(complex)
@@ -313,8 +323,8 @@ def nontangency_rank_test(net: OscillatorNetwork, x) -> bool:
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) >= np.pi / 2):
         raise ValueError("x must lie strictly inside the half-circle box")
-    sv = np.abs(_restricted_spectrum(net, net._k_diag * np.cos(x)))
-    return bool(np.all(sv > RANK_TOL * sv.max()))
+    _, lap = _restricted_laplacian(net, net._k_diag * np.cos(x))
+    return _full_rank(np.linalg.eigvalsh(lap))
 
 
 def _set_h_inequality(net: OscillatorNetwork, sin_abs_x: np.ndarray) -> np.ndarray:

@@ -177,8 +177,8 @@ def _cmd_portrait(args) -> int:
                 "portrait needs a positive coupling between the two "
                 f"oscillators, got {gain:g}"
             )
-        omega = net.natural_frequencies
-        params = planar.PlanarParams(k=gain, delta_omega=float(omega[0] - omega[1]))
+        omega = net.natural_frequencies.tolist()  # Python floats overflow to inf quietly
+        params = planar.PlanarParams(k=gain, delta_omega=omega[0] - omega[1])
     grid = vector_field_grid(  # rejects the network or grid before --out is made
         net,
         x1_range=(args.x1_min, args.x1_max),

@@ -110,10 +110,11 @@ def edge_transform(theta, theta_dot_vec, net: OscillatorNetwork) -> EdgeState:
 
 
 def _edge_field(net: OscillatorNetwork, x: np.ndarray) -> np.ndarray:
-    """First-order edge field B^T omega - B^T B K sin(X) (edge index last)."""
-    return _edge_diff(net, net.natural_frequencies) - _edge_diff(
-        net, _node_sums(net, net._k_diag * np.sin(x))
-    )
+    """First-order edge field B^T omega - B^T B K sin(X) (edge index last);
+    a frequency difference beyond the float range is inf."""
+    with np.errstate(over="ignore"):
+        b_omega = _edge_diff(net, net.natural_frequencies)
+    return b_omega - _edge_diff(net, _node_sums(net, net._k_diag * np.sin(x)))
 
 
 def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:

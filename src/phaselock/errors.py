@@ -19,7 +19,8 @@ class NoEquilibriumError(RuntimeError):
 
 
 class SingularJacobianError(RuntimeError):
-    """Newton Jacobian lost rank at an iterate (a cos(x_i) = 0 crossing)."""
+    """Newton Jacobian lost rank at an iterate: a cos(x_i) = 0 crossing, or
+    a disconnected positive-gain graph."""
 
 
 class NetworkFileError(ValueError):

@@ -37,6 +37,7 @@ from phaselock import (
     solve_equilibrium,
     sufficient_gain_bounds,
     sync_frequency,
+    theta_dot,
     uniform_critical_gain,
     wrap_phase,
 )
@@ -592,6 +593,11 @@ def test_returned_equilibrium_meets_the_edge_residual(case, tol):
 
 def test_analysis_at_n200_leaves_the_incidence_unbuilt(monkeypatch):
     forbid_incidence(monkeypatch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an analysis path ran an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
     n = 200
     e = n * (n - 1) // 2
     net = OscillatorNetwork(n, np.linspace(-1.0, 1.0, n), np.full(e, 300.0))
@@ -809,3 +815,141 @@ def test_sync_verdict_means_the_frequency_differences_vanish(case):
     speed = np.sqrt(2.0 * v2)
     assert np.all(np.diff(v2) <= 1e-13 * scale * (speed[1:] + speed[:-1]))
     assert v2[-1] < SYNC_TOL**2
+
+
+# The Newton solver before it stepped on the complement of the ones vector:
+# the last phase pinned and a least-squares step from the SVD of the
+# grounded Laplacian block, built here from the dense incidence. It is the
+# reference the eigendecomposition step must reproduce to round-off.
+
+
+def _svd_newton_oracle(net, theta_guess=None, tol=1e-12):
+    n = net.n_oscillators
+    b = incidence_matrix(n).astype(float)
+    theta = np.zeros(n) if theta_guess is None else np.array(theta_guess, dtype=float)
+    theta = theta - theta[-1]
+    scale = max(1.0, float(np.max(net.coupling_gains)))
+    for _ in range(100):
+        x = b.T @ theta
+        f = theta_dot(theta, net)
+        if f.max() - f.min() < tol:
+            return x
+        lap = b @ np.diag(net.coupling_diag * np.cos(x)) @ b.T
+        u, sv, vt = np.linalg.svd(lap[:, :-1], full_matrices=False)
+        if np.sqrt(n) * sv[0] < 1e-12 * scale or sv[-1] < RANK_TOL * sv[0]:
+            raise SingularJacobianError("rank-deficient")
+        theta[:-1] += vt.T @ ((u.T @ (f - f.mean())) / sv)
+    raise NoEquilibriumError("no convergence")
+
+
+@st.composite
+def locked_cases(draw):
+    """A complete graph on N = 2..10 with distinct frequencies, each gain
+    between 1.2x and 3x its per-edge sufficient threshold, and either no
+    guess or one with phase spread below pi/2."""
+    n = draw(st.integers(2, 10))
+    e = n * (n - 1) // 2
+    gaps = draw(arrays(float, n - 1, elements=st.floats(0.05, 1.0)))
+    omega = np.concatenate([[0.0], np.cumsum(gaps)]) + draw(st.floats(-5.0, 5.0))
+    omega = np.array(draw(st.permutations(list(omega))))
+    factors = draw(arrays(float, e, elements=st.floats(1.2, 3.0)))
+    bounds = sufficient_gain_bounds(OscillatorNetwork(n, omega, np.ones(e)))
+    net = OscillatorNetwork(n, omega, factors * bounds)
+    guess = draw(st.one_of(st.none(), arrays(float, n, elements=st.floats(-0.75, 0.75))))
+    return net, guess
+
+
+@settings(max_examples=300, deadline=None)
+@given(locked_cases())
+def test_newton_matches_the_svd_oracle(case):
+    net, guess = case
+    assert is_connected(net)
+    try:
+        want = _svd_newton_oracle(net, guess)
+    except (NoEquilibriumError, SingularJacobianError):
+        return
+    assume(np.all(np.abs(want) < np.pi / 2))
+    got = solve_equilibrium(net, theta_guess=guess)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert classify_stability(net, got).classification == (
+        classify_stability(net, want).classification
+    )
+
+
+# The exact locking threshold of a complete graph at uniform gain K, for
+# theta_dot_i = omega_i + (K/N) sum_j sin(theta_j - theta_i) (Verwoerd &
+# Mason, SIAM J. Appl. Dyn. Syst. 2008): with w = omega - mean(omega),
+# K_c = N u* / sum_i sqrt(1 - (w_i/u*)^2), where u* in [|w|_inf, 2 |w|_inf]
+# solves 2 sum_i sqrt(1 - (w_i/u)^2) = sum_i 1/sqrt(1 - (w_i/u)^2).
+
+
+def _critical_gain(omega):
+    w = omega - omega.mean()
+    lo = np.max(np.abs(w))
+    hi = 2.0 * lo
+
+    def excess(u):
+        root = np.sqrt(1.0 - (w / u) ** 2)
+        with np.errstate(divide="ignore"):  # w_i / u rounds to +-1 next to lo
+            return 2.0 * root.sum() - (1.0 / root).sum()
+
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:  # bisect to adjacent floats
+        if excess(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return len(w) * hi / np.sqrt(1.0 - (w / hi) ** 2).sum()
+
+
+def _uniform_net(omega, gain):
+    n = len(omega)
+    return OscillatorNetwork(n, omega, np.full(n * (n - 1) // 2, gain))
+
+
+def test_critical_gain_of_two_oscillators_is_their_mismatch():
+    assert _critical_gain(np.array([0.7, -0.3])) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [3, 10, 50, 200])
+def test_newton_locks_just_above_the_critical_gain(n, seed):
+    omega = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    net = _uniform_net(omega, _critical_gain(omega) * (1.0 + 1e-9))
+    assert np.all(np.isfinite(solve_equilibrium(net)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [3, 10, 50])
+def test_newton_finds_no_lock_just_below_the_critical_gain(n, seed):
+    omega = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    with pytest.raises(NoEquilibriumError):
+        solve_equilibrium(_uniform_net(omega, _critical_gain(omega) * (1.0 - 1e-6)))
+
+
+@pytest.mark.parametrize("n", [3, 5, 10, 20, 50])
+def test_locks_above_the_critical_gain_are_stable(n):
+    # every nonzero eigenvalue is clearly negative, so only the box can
+    # keep a lock from being a semistable candidate
+    rng = np.random.default_rng(100 + n)
+    for omega in (rng.uniform(-1.0, 1.0, n), rng.normal(0.0, 1.0, n)):
+        for factor in (1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.1, 1.5):
+            net = _uniform_net(omega, _critical_gain(omega) * factor)
+            x = solve_equilibrium(net)
+            report = classify_stability(net, x)
+            assert np.all(report.g_restricted_eigenvalues.real < -report.zero_tolerance)
+            in_box = np.max(np.abs(x)) < np.pi / 2
+            assert report.classification == (SEMISTABLE_CANDIDATE if in_box else INDETERMINATE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(float, st.integers(2, 40), elements=st.floats(-10.0, 10.0)))
+def test_critical_gain_lies_between_k0_and_the_frequency_spread(omega):
+    assume(np.ptp(omega) > 1e-3)
+    k_c = _critical_gain(omega)
+    k0 = uniform_critical_gain(_uniform_net(omega, 1.0))
+    assert k0 <= k_c * (1.0 + 1e-12)
+    assert k_c <= np.ptp(omega) * (1.0 + 1e-12)
+    gain = k_c * (1.0 + 1e-9)
+    assert np.all(onset_lower_bounds(_uniform_net(omega, gain)) <= gain)

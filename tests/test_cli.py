@@ -495,3 +495,39 @@ def test_every_json_output_is_the_oracle_fixpoint(tmp_path):
     for path in written:
         text = path.read_text()
         assert text == oracle_json(json.loads(text)), path
+
+
+_DIVERGED = "error: non-finite state at step 1 (t = 0.01 s)\n"
+
+
+@pytest.mark.parametrize("omega", [[1e308, -1e308], [1e308, -1e308, 0.0]], ids=["n2", "n3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--t-end", "1"],
+        ["analyze"],
+        ["analyze", "--certify", "--samples", "5", "--t-end", "1"],
+        ["bounds"],
+        ["invariance", "--samples", "5", "--t-end", "1"],
+        ["portrait", "--grid", "3"],
+    ],
+    ids=["simulate", "analyze", "analyze-certify", "bounds", "invariance", "portrait"],
+)
+def test_frequencies_at_the_float_limit_print_no_warning(tmp_path, capsys, omega, argv):
+    # pytest turns any warning into an error, so each command must end in
+    # its own result or error line
+    n = len(omega)
+    path = tmp_path / "huge.json"
+    write_network(OscillatorNetwork(n, omega, np.ones(n * (n - 1) // 2)), path)
+    code = main([*argv, "--network", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if argv[0] in ("simulate", "invariance") or "--certify" in argv:
+        assert (code, err) == (1, _DIVERGED)
+    elif argv[0] == "portrait" and n == 2:
+        assert (code, err) == (1, "error: delta_omega must be finite\n")
+    else:
+        assert (code, err) == (0, "")
+    if argv == ["analyze"]:
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["equilibrium"] is None
+        assert report["equilibrium_error"] == "Newton residual is not finite (inf)"
