@@ -21,6 +21,7 @@ inequality that blocks exit through each box face.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ from .dynamics import (
     EdgeState,
     Trajectory,
     _edge_field,
+    _edge_vector,
     _node_field,
     _rk4_steps,
     _validate_grid,
@@ -84,11 +86,18 @@ def _edge_frequency_mismatch(net: OscillatorNetwork) -> np.ndarray:
         return np.abs(_edge_diff(net, net.natural_frequencies))
 
 
-def _restricted_laplacian(net: OscillatorNetwork, w: np.ndarray):
-    """Householder basis V of the complement of the ones vector, and V^T L(w) V."""
-    n = net.n_oscillators
+@functools.lru_cache(maxsize=1)
+def _complement_basis(n: int) -> np.ndarray:
+    """Householder basis of the complement of the ones vector in R^n, read-only."""
     u = np.eye(n)[-1] - 1.0 / np.sqrt(n)
     v = np.eye(n, n - 1) - (2.0 / (u @ u)) * np.outer(u, u[:-1])
+    v.flags.writeable = False
+    return v
+
+
+def _restricted_laplacian(net: OscillatorNetwork, w: np.ndarray):
+    """Householder basis V of the complement of the ones vector, and V^T L(w) V."""
+    v = _complement_basis(net.n_oscillators)
     return v, v.T @ _laplacian(net, w) @ v
 
 
@@ -254,10 +263,8 @@ def solve_equilibrium(
 
 def linearize(net: OscillatorNetwork, x_star) -> np.ndarray:
     """Block matrix [[0, I], [0, G(X*)]] of the edge-space linearization."""
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = _edge_vector(net, x_star, "x_star")
     e = net.n_edges
-    if x_star.shape != (e,):
-        raise ValueError(f"x_star must have shape ({e},)")
     a = np.zeros((2 * e, 2 * e))
     a[:e, e:] = np.eye(e)
     a[e:, e:] = g_matrix(x_star, net)
@@ -267,37 +274,32 @@ def linearize(net: OscillatorNetwork, x_star) -> np.ndarray:
 def classify_stability(net: OscillatorNetwork, x_star) -> StabilityReport:
     """Classify the equilibrium from the linearization spectrum.
 
-    The spectrum of A = [[0, I], [0, G(X*)]] is 2e - (N-1) exact zeros plus
-    the N-1 real eigenvalues of -L(X*) on the complement of the ones vector
-    (``g_restricted_eigenvalues``). ``ZERO_TOL`` is relative to
-    |A|_2 = sqrt(1 + N lambda_max(L((k cos X*)^2))).
+    The spectrum of A = [[0, I], [0, G(X*)]] (``eigenvalues``) is
+    2e - (N-1) exact zeros plus the N-1 real eigenvalues of -L(X*) on the
+    complement of the ones vector (``g_restricted_eigenvalues``), and the
+    verdict reads those N-1 alone. ``ZERO_TOL`` is relative to
+    |A|_2 = sqrt(1 + N lambda_max(L((k cos X*)^2))), taken with the weights
+    scaled by their largest magnitude so that huge gains cannot overflow.
 
-    semistable-candidate: X* inside the open half-circle box, every
-    eigenvalue either negligible or with strictly negative real part, and
-    exactly 2e - (N-1) negligible ones (the structural count for a
-    connected network). unstable: some eigenvalue with positive real part.
-    Anything else is indeterminate.
+    unstable: a restricted eigenvalue above the tolerance.
+    semistable-candidate: X* inside the open half-circle box and every
+    restricted eigenvalue below minus the tolerance (so the negligible
+    eigenvalues are the 2e - (N-1) structural zeros). Else indeterminate.
     """
-    x_star = np.asarray(x_star, dtype=float)
+    x_star = _edge_vector(net, x_star, "x_star")
     n, e = net.n_oscillators, net.n_edges
-    if x_star.shape != (e,):
-        raise ValueError(f"x_star must have shape ({e},)")
     w = net._k_diag * np.cos(x_star)
-    spec, spec_sq = np.linalg.eigvalsh(_restricted_laplacian(net, np.stack([w, w * w]))[1])
+    s = np.abs(w).max()
+    lap = _restricted_laplacian(net, np.stack([w, (w / (s or 1.0)) ** 2]))[1]
+    spec, spec_sq = np.linalg.eigvalsh(lap)
     restricted = -spec[::-1]
-    expected_zeros = 2 * e - (n - 1)
-    eigs = np.sort(np.concatenate([np.zeros(expected_zeros), restricted])).astype(complex)
-    tol_abs = ZERO_TOL * np.sqrt(1.0 + n * spec_sq[-1])
-
+    eigs = np.sort(np.concatenate([np.zeros(2 * e - (n - 1)), restricted])).astype(complex)
+    tol_abs = ZERO_TOL * np.hypot(1.0, s * np.sqrt(n * spec_sq[-1]))
     n_zero = int(np.sum(np.abs(eigs) < tol_abs))
-    any_positive = bool(np.any(eigs.real > tol_abs))
-    nonzero = eigs[np.abs(eigs) >= tol_abs]
-    all_nonzero_negative = bool(np.all(nonzero.real < -tol_abs))
-    in_box = bool(np.all(np.abs(x_star) < np.pi / 2))
 
-    if any_positive:
+    if np.any(restricted > tol_abs):
         classification = UNSTABLE
-    elif in_box and all_nonzero_negative and n_zero == expected_zeros:
+    elif np.all(np.abs(x_star) < np.pi / 2) and np.all(restricted < -tol_abs):
         classification = SEMISTABLE_CANDIDATE
     else:
         classification = INDETERMINATE
@@ -320,7 +322,7 @@ def nontangency_rank_test(net: OscillatorNetwork, x) -> bool:
     column space; equivalent to connectivity of the positive-gain graph
     whenever X stays inside the open half-circle box.
     """
-    x = np.asarray(x, dtype=float)
+    x = _edge_vector(net, x)
     if np.any(np.abs(x) >= np.pi / 2):
         raise ValueError("x must lie strictly inside the half-circle box")
     _, lap = _restricted_laplacian(net, net._k_diag * np.cos(x))
@@ -368,12 +370,13 @@ def in_set_h(state: EdgeState, net: OscillatorNetwork) -> SetHMembership:
 
 def lyapunov_v2_along(traj: Trajectory, net: OscillatorNetwork):
     """Kinetic-style certificate V2 = |V|^2 / 2 and its flow derivative
-    V^T G(X) V at every stored step of a trajectory."""
+    V^T G(X) V at every stored step of a trajectory. As V = B^T theta_dot
+    and B B^T = N I - 1 1^T on the complete graph, V^T G(X) V is
+    -N sum_e k_e cos(x_e) v_e^2, never positive inside the box."""
     x = traj.edge_x(net)
     v = traj.edge_v(net)
     v2 = 0.5 * np.sum(v * v, axis=1)
-    weighted = (net._k_diag * np.cos(x)) * v
-    v2_dot = -np.sum(v * _edge_diff(net, _node_sums(net, weighted)), axis=1)
+    v2_dot = -net.n_oscillators * ((np.cos(x) * v * v) @ net._k_diag)
     return v2, v2_dot
 
 

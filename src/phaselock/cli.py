@@ -18,6 +18,7 @@ failed certificate or experiment verification, 1 on errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from pathlib import Path
@@ -78,14 +79,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _bounds_payload(net, delta: float) -> dict:
-    bounds = analysis.coupling_bounds(net, delta=delta)
-    return {
-        "per_edge_sufficient": bounds.per_edge_sufficient,
-        "uniform_k0": bounds.uniform_k0,
-        "onset_lower": bounds.onset_lower,
-        "attracting_margin": bounds.attracting_margin,
-        "attracting_satisfied": bounds.attracting_satisfied,
-    }
+    return dataclasses.asdict(analysis.coupling_bounds(net, delta=delta))
 
 
 def _analysis_payload(net, delta: float, guess) -> dict:

@@ -7,8 +7,8 @@ K = diag(gains)/N. It is evaluated in O(N^2) as omega + c * (W s) - s * (W c)
 with W = Ktilde/N and s, c = sin, cos(theta - theta_1). Edge coordinates are
 X = B^T theta (phase differences) and V = B^T theta_dot (frequency
 differences); in these coordinates the flow is Xdot = V,
-Vdot = G(X) V with G(X) = -B^T B K diag(cos X). B^T B y is written
-``_edge_diff(net, _node_sums(net, y))`` with the edge products of
+Vdot = G(X) V with G(X) = -B^T B K diag(cos X). B^T B y is the edge
+difference ``_edge_diff`` of the node sums ``_node_sums``, edge products of
 ``network``, so no code here reads the edge order or the dense incidence.
 
 Integration is classical fixed-step RK4, run for every flow (node and
@@ -117,11 +117,19 @@ def _edge_field(net: OscillatorNetwork, x: np.ndarray) -> np.ndarray:
     return b_omega - _edge_diff(net, _node_sums(net, net._k_diag * np.sin(x)))
 
 
-def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:
-    """Edge-space flow matrix G(X) = -B^T B K diag(cos X)."""
+def _edge_vector(net: OscillatorNetwork, x, name: str = "x") -> np.ndarray:
+    """``x`` as a float array of shape (e,) with finite entries, or ValueError."""
     x = np.asarray(x, dtype=float)
     if x.shape != (net.n_edges,):
-        raise ValueError(f"x must have shape ({net.n_edges},)")
+        raise ValueError(f"{name} must have shape ({net.n_edges},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
+def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:
+    """Edge-space flow matrix G(X) = -B^T B K diag(cos X)."""
+    x = _edge_vector(net, x)
     # B^T B applied row by row to diag(d) gives diag(d) B^T B = (B^T B diag(d))^T
     return -_edge_diff(net, _node_sums(net, np.diag(net._k_diag * np.cos(x)))).T
 
@@ -324,13 +332,15 @@ def vector_field_grid(
     (v, G(x) v); for three it is the first two edge coordinates, with the
     third resolved through x3 = x2 - x1 and the first-order field
     Xdot = B^T omega - B^T B K sin(X). Larger networks have no planar
-    reduction.
+    reduction. Every range end must be finite.
     """
     n = net.n_oscillators
     if n > 3:
         raise ValueError("vector_field_grid supports only 2- or 3-oscillator networks")
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2 per axis")
+    if not np.isfinite([*x1_range, *x2_range]).all():
+        raise ValueError("grid ranges must be finite")
     xs = np.linspace(x1_range[0], x1_range[1], resolution)
     ys = np.linspace(x2_range[0], x2_range[1], resolution)
     a, b_ = np.meshgrid(xs, ys, indexing="ij")

@@ -41,7 +41,13 @@ from phaselock import (
     uniform_critical_gain,
     wrap_phase,
 )
-from phaselock.analysis import RANK_TOL, _sample_box_states, onset_lower_bounds
+from phaselock.analysis import (
+    RANK_TOL,
+    ZERO_TOL,
+    _complement_basis,
+    _sample_box_states,
+    onset_lower_bounds,
+)
 from phaselock.dynamics import SYNC_TOL
 
 CHAIN = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
@@ -874,6 +880,120 @@ def test_newton_matches_the_svd_oracle(case):
     assert classify_stability(net, got).classification == (
         classify_stability(net, want).classification
     )
+
+
+def test_newton_builds_the_complement_basis_once_per_solve():
+    _complement_basis.cache_clear()
+    four = OscillatorNetwork(4, [0.0, 0.3, 0.6, 1.0], np.full(6, 4.0))
+    for net in (CHAIN, four, CHAIN):
+        before = _complement_basis.cache_info()
+        solve_equilibrium(net)
+        after = _complement_basis.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits > before.hits
+    assert not _complement_basis(3).flags.writeable
+
+
+# The classification before it read the N-1 restricted eigenvalues alone:
+# counts and masks over the whole 2e-long spectrum. Applied to the report's
+# own spectrum and tolerance it must give the same verdict, with no band.
+
+
+def _mask_verdict(net, report):
+    eigs, tol = report.eigenvalues, report.zero_tolerance
+    n_zero = int(np.sum(np.abs(eigs) < tol))
+    nonzero = eigs[np.abs(eigs) >= tol]
+    if np.any(eigs.real > tol):
+        return UNSTABLE
+    if (
+        np.all(np.abs(report.equilibrium_x) < np.pi / 2)
+        and np.all(nonzero.real < -tol)
+        and n_zero == 2 * net.n_edges - (net.n_oscillators - 1)
+    ):
+        return SEMISTABLE_CANDIDATE
+    return INDETERMINATE
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_cases())
+def test_verdict_matches_the_full_spectrum_mask(case):
+    net, x = case
+    report = classify_stability(net, x)
+    assert report.classification == _mask_verdict(net, report)
+
+
+@settings(max_examples=100, deadline=None)
+@given(locked_cases(), st.data())
+def test_lock_verdict_matches_the_full_spectrum_mask(case, data):
+    net, guess = case
+    try:
+        x_star = solve_equilibrium(net, theta_guess=guess)
+    except (NoEquilibriumError, SingularJacobianError):
+        return
+    # half a turn on one node moves its edges across the box face
+    node = data.draw(st.integers(0, net.n_oscillators - 1))
+    turned = wrap_phase(x_star + np.pi * incidence_matrix(net.n_oscillators)[node])
+    for x in (x_star, turned):
+        report = classify_stability(net, x)
+        assert report.classification == _mask_verdict(net, report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(edge_cases(max_n=12), st.data())
+def test_v2_rate_is_never_positive_inside_the_box(case, data):
+    net, _ = case
+    n = net.n_oscillators
+    # phase spread below pi/2 puts every edge difference in the box
+    thetas = data.draw(arrays(float, (4, n), elements=st.floats(-0.78, 0.78)))
+    dots = data.draw(arrays(float, (4, n), elements=st.floats(-1e3, 1e3)))
+    traj = Trajectory(times=np.arange(4.0), thetas=thetas, theta_dots=dots)
+    assert np.all(np.abs(traj.edge_x(net)) < np.pi / 2)
+    _, v2_dot = lyapunov_v2_along(traj, net)
+    assert np.all(v2_dot <= 0.0)
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        OscillatorNetwork(6, 0.1 * np.arange(6), np.full(15, 1e200)),
+        OscillatorNetwork(3, [0.0, 0.5, 1.0], np.full(3, 1e160)),
+    ],
+    ids=["n6-1e200", "n3-1e160"],
+)
+def test_huge_gains_keep_a_finite_zero_tolerance(net):
+    n, e = net.n_oscillators, net.n_edges
+    report = classify_stability(net, solve_equilibrium(net))
+    # |A|_2 = N w at x = 0 for uniform weights w = gain / N
+    assert report.zero_tolerance == pytest.approx(ZERO_TOL * net.coupling_gains[0], rel=1e-12)
+    assert report.n_zero == 2 * e - (n - 1)
+    assert report.classification == SEMISTABLE_CANDIDATE
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda net, x: g_matrix(x, net), "x"),
+        (linearize, "x_star"),
+        (classify_stability, "x_star"),
+        (nontangency_rank_test, "x"),
+    ],
+    ids=["g_matrix", "linearize", "classify_stability", "nontangency_rank_test"],
+)
+@pytest.mark.parametrize(
+    "x, problem",
+    [
+        ([0.1], r"must have shape \(3,\)"),
+        ([0.1, 0.2], r"must have shape \(3,\)"),
+        ([[0.1, 0.2, 0.3]], r"must have shape \(3,\)"),
+        ([np.nan, 0.0, 0.0], "must be finite"),
+        ([0.0, np.inf, 0.0], "must be finite"),
+        ([0.0, 0.0, -np.inf], "must be finite"),
+    ],
+    ids=["one", "two", "row", "nan", "inf", "-inf"],
+)
+def test_edge_vector_inputs_are_checked(call, name, x, problem):
+    with pytest.raises(ValueError, match=f"^{name} {problem}$"):
+        call(CHAIN, x)
 
 
 # The exact locking threshold of a complete graph at uniform gain K, for

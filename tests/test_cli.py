@@ -226,6 +226,10 @@ def test_portrait_of_an_uncoupled_pair_fails_before_writing(tmp_path, capsys):
     [
         (4, [], "vector_field_grid supports only 2- or 3-oscillator networks"),
         (3, ["--grid", "1"], "grid resolution must be at least 2 per axis"),
+        (3, ["--x1-min", "nan"], "grid ranges must be finite"),
+        (3, ["--x2-max", "inf"], "grid ranges must be finite"),
+        (2, ["--x1-max", "nan"], "grid ranges must be finite"),
+        (2, ["--x2-min=-inf"], "grid ranges must be finite"),
     ],
 )
 def test_portrait_rejected_by_the_grid_leaves_no_out_directory(
@@ -531,3 +535,20 @@ def test_frequencies_at_the_float_limit_print_no_warning(tmp_path, capsys, omega
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["equilibrium"] is None
         assert report["equilibrium_error"] == "Newton residual is not finite (inf)"
+
+
+@pytest.mark.parametrize(
+    "omega, gain",
+    [(0.1 * np.arange(6), 1e200), ([0.0, 0.5, 1.0], 1e160)],
+    ids=["n6-1e200", "n3-1e160"],
+)
+def test_analyze_at_huge_gains_finds_the_semistable_lock(tmp_path, capsys, omega, gain):
+    # pytest turns any warning into an error, so the run must stay quiet
+    n = len(omega)
+    path = tmp_path / "huge.json"
+    write_network(OscillatorNetwork(n, omega, np.full(n * (n - 1) // 2, gain)), path)
+    assert main(["analyze", "--network", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["classification"] == "semistable-candidate"
+    assert report["n_zero_eigenvalues"] == (n - 1) ** 2

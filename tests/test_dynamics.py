@@ -644,3 +644,14 @@ def test_vector_field_grid_unsupported_sizes():
     net2 = OscillatorNetwork(2, [1.0, 0.0], [1.0])
     with pytest.raises(ValueError):
         vector_field_grid(net2, resolution=1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("end", range(4))
+def test_vector_field_grid_rejects_a_non_finite_range(n, bad, end):
+    ends = [-1.0, 1.0, -1.0, 1.0]
+    ends[end] = bad
+    net = OscillatorNetwork(n, np.arange(n, dtype=float), np.ones(n * (n - 1) // 2))
+    with pytest.raises(ValueError, match="^grid ranges must be finite$"):
+        vector_field_grid(net, x1_range=ends[:2], x2_range=ends[2:], resolution=3)
