@@ -10,9 +10,10 @@ CSV and JSON outputs carry 15 significant digits and are byte-identical
 across runs with the same configuration and seed. One payload builder per
 result type hands ``tables.write_json`` the result arrays as they are
 (gain thresholds, equilibrium, eigenvalues as (2e, 2) real/imaginary
-rows), and the writer formats them in bulk. The argument parser is built
-once per process. Exit codes: 0 on success or certificate pass, 2 on a
-failed certificate or experiment verification, 1 on errors.
+rows), the bundled experiments pass theirs the same way, and the writer
+formats them in bulk. The argument parser is built once per process.
+Exit codes: 0 on success or certificate pass, 2 on a failed certificate
+or experiment verification, 1 on errors.
 """
 
 from __future__ import annotations
@@ -27,28 +28,15 @@ import numpy as np
 
 from . import analysis, planar
 from .dynamics import simulate, vector_field_grid
-from .errors import (
-    DivergenceError,
-    NetworkFileError,
-    NoEquilibriumError,
-    OutOfDomainError,
-    SingularJacobianError,
-)
+from .errors import DivergenceError, NoEquilibriumError, SingularJacobianError
 from .experiments import EXPERIMENT_IDS, run_experiment
 from .netfile import parse_network
 from .tables import write_csv, write_json, write_trajectory
 
 __all__ = ["main"]
 
-_USER_ERRORS = (
-    NetworkFileError,
-    NoEquilibriumError,
-    SingularJacobianError,
-    DivergenceError,
-    OutOfDomainError,
-    ValueError,
-    OSError,
-)
+# ValueError also covers its subclasses NetworkFileError and OutOfDomainError
+_USER_ERRORS = (ValueError, NoEquilibriumError, SingularJacobianError, DivergenceError, OSError)
 
 
 def _out_dir(args) -> Path:
@@ -104,17 +92,11 @@ def _analysis_payload(net, delta: float, guess) -> dict:
     return payload
 
 
-# InvarianceReport fields written by `invariance`, and the subset that
-# `analyze --certify` writes
-_INVARIANCE_KEYS = (
-    "passed", "bounds_met", "n_samples", "n_stayed", "fraction",
-    "horizon", "dt", "margin", "seed",
-)
-_ANALYZE_CERT_KEYS = ("passed", "bounds_met", "n_samples", "n_stayed", "fraction", "seed")
-
-
-def _invariance_payload(report, keys) -> dict:
-    return {"invariance": {key: getattr(report, key) for key in keys}}
+def _invariance_payload(report, omit=()) -> dict:
+    """Every InvarianceReport field but the trajectories and ``omit``."""
+    skip = {"trajectories", *omit}
+    fields = [f.name for f in dataclasses.fields(report) if f.name not in skip]
+    return {"invariance": {name: getattr(report, name) for name in fields}}
 
 
 def _cmd_analyze(args) -> int:
@@ -126,7 +108,7 @@ def _cmd_analyze(args) -> int:
         certificate = analysis.invariance_certificate(
             net, n_samples=args.samples, horizon=args.t_end, seed=args.seed
         )
-        payload["certificates"] = _invariance_payload(certificate, _ANALYZE_CERT_KEYS)
+        payload["certificates"] = _invariance_payload(certificate, omit=("horizon", "dt", "margin"))
     write_json(_out_dir(args) / "report.json", payload)
     if certificate is not None and not certificate.passed:
         return 2
@@ -149,7 +131,7 @@ def _cmd_invariance(args) -> int:
         margin=args.margin,
         seed=args.seed,
     )
-    payload = {"certificates": _invariance_payload(report, _INVARIANCE_KEYS)}
+    payload = {"certificates": _invariance_payload(report)}
     write_json(_out_dir(args) / "invariance.json", payload)
     if not report.passed:
         print(

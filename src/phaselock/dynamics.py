@@ -233,7 +233,9 @@ def simulate(
 ) -> Trajectory:
     """Integrate the network with classical RK4 at fixed step dt.
 
-    Keeping dt below 0.1 / max(1, |omega|_inf + max gain) is recommended.
+    Keeping dt below 0.1 / max(1, |omega|_inf + s_max) is recommended,
+    with s_max = max_i sum_j Ktilde_ij / N the largest node strength of
+    the normalized coupling, not the largest raw gain.
     With ``stop_on_sync`` the run ends early once the frequency spread
     max_i theta_dot_i - min_i theta_dot_i has stayed below ``SYNC_TOL``
     for ``SYNC_WINDOW`` seconds of simulated time.

@@ -26,6 +26,7 @@ from .analysis import (
 )
 from .errors import NoEquilibriumError, SingularJacobianError
 from .dynamics import simulate, vector_field_grid, wrap_phase
+from .netfile import _network_payload
 from .network import OscillatorNetwork, edge_count, edge_index
 from .tables import write_csv, write_trajectory
 
@@ -37,8 +38,6 @@ __all__ = [
     "FIVE_NETWORK_THETA0",
     "run_experiment",
 ]
-
-EXPERIMENT_IDS = ("three_chain", "five_network")
 
 # five-oscillator topology: ring 1-2-3-4-5-1 plus chords (1,5) is the ring
 # closure, extra chord (2,5); gains sized comfortably above the per-edge
@@ -117,12 +116,13 @@ def _run_three_chain(out_dir: Path) -> ExperimentResult:
     if found and np.max(np.abs(np.array(found) - wrap_phase(x_star))) > 1e-8:
         failures.append("sweep found an additional in-box fixed point")
 
+    eigs = report_stab.eigenvalues
     report = {
-        "network": {"n": 3, "omega": [1.0, 2.0, 3.0], "coupling": [9.0, 6.0, 0.0]},
-        "fixed_point": x_star.tolist(),
-        "fixed_point_error": err.tolist(),
+        "network": _network_payload(net),
+        "fixed_point": x_star,
+        "fixed_point_error": err,
         "classification": report_stab.classification,
-        "eigenvalues": [[z.real, z.imag] for z in report_stab.eigenvalues],
+        "eigenvalues": np.column_stack([eigs.real, eigs.imag]),
     }
     return ExperimentResult(
         experiment_id="three_chain",
@@ -149,14 +149,10 @@ def _run_five_network(out_dir: Path) -> ExperimentResult:
     write_trajectory(out_dir / "trajectory.csv", traj)
 
     report = {
-        "network": {
-            "n": 5,
-            "omega": net.natural_frequencies.tolist(),
-            "coupling": net.coupling_gains.tolist(),
-        },
-        "theta0": FIVE_NETWORK_THETA0.tolist(),
+        "network": _network_payload(net),
+        "theta0": FIVE_NETWORK_THETA0,
         "sync_frequency": target,
-        "final_frequencies": final_dots.tolist(),
+        "final_frequencies": final_dots,
         "worst_deviation": worst,
         "synchronized_at": traj.synchronized_at,
     }
@@ -168,12 +164,15 @@ def _run_five_network(out_dir: Path) -> ExperimentResult:
     )
 
 
+_RUNNERS = {"three_chain": _run_three_chain, "five_network": _run_five_network}
+EXPERIMENT_IDS = tuple(_RUNNERS)
+
+
 def run_experiment(experiment_id: str, out_dir=".") -> ExperimentResult:
-    """Run a bundled experiment, writing its CSV outputs into ``out_dir``."""
+    """Run a bundled experiment, writing its CSV outputs into ``out_dir``;
+    an unknown id raises ValueError before ``out_dir`` is created."""
+    if experiment_id not in EXPERIMENT_IDS:
+        raise ValueError(f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if experiment_id == "three_chain":
-        return _run_three_chain(out_dir)
-    if experiment_id == "five_network":
-        return _run_five_network(out_dir)
-    raise ValueError(f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}")
+    return _RUNNERS[experiment_id](out_dir)

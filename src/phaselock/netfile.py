@@ -126,12 +126,16 @@ def parse_network(path) -> OscillatorNetwork:
         raise NetworkFileError(f"{path}: {exc}") from exc
 
 
-def write_network(net: OscillatorNetwork, path) -> None:
-    """Write a network in the dense coupling form; parsing it back
-    reproduces the network exactly."""
-    payload = {
+def _network_payload(net: OscillatorNetwork) -> dict:
+    """The network in the dense coupling form, as JSON-ready lists."""
+    return {
         "n": net.n_oscillators,
         "omega": net.natural_frequencies.tolist(),
         "coupling": net.coupling_gains.tolist(),
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def write_network(net: OscillatorNetwork, path) -> None:
+    """Write a network in the dense coupling form; parsing it back
+    reproduces the network exactly."""
+    Path(path).write_text(json.dumps(_network_payload(net), indent=2) + "\n")

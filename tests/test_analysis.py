@@ -257,6 +257,26 @@ def test_attracting_set_check_delta_range():
         attracting_set_check(CHAIN, np.pi)
 
 
+def test_attracting_set_check_without_positive_gains():
+    # no active edge: the gain spread is zero, the side condition vacuous
+    rep = attracting_set_check(OscillatorNetwork(3, [1.0, 2.0, 3.0], np.zeros(3)), 0.5)
+    assert (rep.lhs, rep.rhs, rep.margin) == (0.0, 4.0, -4.0)
+    assert rep.side_condition_ok and not rep.satisfied
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: solve_equilibrium(CHAIN, theta_guess=np.zeros(2)), r"shape \(3,\)"),
+        (lambda: in_set_h(EdgeState(x=np.zeros(2), v=np.zeros(2)), CHAIN), "2 edges, expected 3"),
+    ],
+    ids=["theta-guess-shape", "set-h-edge-count"],
+)
+def test_wrong_sized_inputs_are_named(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_lyapunov_v3_values():
     assert lyapunov_v3(np.zeros(3), 3) == pytest.approx(-np.pi)
     assert lyapunov_v3(np.full(3, np.pi / 2), 3) == pytest.approx(np.pi / 2)

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -13,8 +14,16 @@ from test_dynamics import forbid_incidence
 from test_tables import oracle_json
 
 import phaselock.cli
-from phaselock import OscillatorNetwork, write_network
+import phaselock.errors
+from phaselock import DivergenceError, OscillatorNetwork, parse_network, write_network
 from phaselock.cli import main
+from phaselock.experiments import (
+    EXPERIMENT_IDS,
+    ExperimentResult,
+    five_network_network,
+    run_experiment,
+    three_chain_network,
+)
 
 
 def _child_env():
@@ -86,6 +95,16 @@ def test_simulate_theta0_flag(pair_file, tmp_path):
     first = (out / "trajectory.csv").read_text().splitlines()[1].split(",")
     assert float(first[1]) == pytest.approx(0.1)
     assert float(first[2]) == pytest.approx(-0.2)
+
+
+@pytest.mark.parametrize("theta0", ["0.1", "0.1,0.2", "0.1,0.2,0.3,0.4"])
+def test_simulate_theta0_needs_one_phase_per_oscillator(chain_file, tmp_path, capsys, theta0):
+    out = tmp_path / "out"
+    argv = ["simulate", "--network", str(chain_file), "--theta0", theta0, "--out", str(out)]
+    code = main(argv)
+    assert code == 1
+    assert capsys.readouterr().err == "error: --theta0 needs 3 comma-separated values\n"
+    assert not out.exists()
 
 
 def test_simulate_deterministic_bytes(chain_file, tmp_path):
@@ -266,6 +285,58 @@ def test_experiment_five_network(tmp_path):
     assert report["sync_frequency"] == 3.0
     assert report["worst_deviation"] < 1e-6
     assert (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("experiment_id", EXPERIMENT_IDS)
+def test_experiment_report_network_parses_back(tmp_path, experiment_id):
+    out = tmp_path / "exp"
+    assert main(["experiment", experiment_id, "--out", str(out)]) == 0
+    network = tmp_path / "network.json"
+    network.write_text(json.dumps(json.loads((out / "report.json").read_text())["network"]))
+    expected = {"three_chain": three_chain_network, "five_network": five_network_network}
+    assert parse_network(network) == expected[experiment_id]()
+
+
+def test_failed_experiment_verification_exits_2(tmp_path, capsys, monkeypatch):
+    failed = ExperimentResult("three_chain", False, {"x": 1.0}, ["first check", "second check"])
+    monkeypatch.setattr(phaselock.cli, "run_experiment", lambda experiment_id, out_dir: failed)
+    assert main(["experiment", "three_chain", "--out", str(tmp_path / "exp")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "experiment three_chain verification FAILED:\n  - first check\n  - second check\n"
+    )
+    assert (tmp_path / "exp" / "report.json").read_text() == '{\n  "x": 1.0\n}\n'
+
+
+@pytest.mark.parametrize("experiment_id", ["nope", "", "THREE_CHAIN"])
+def test_unknown_experiment_id_creates_no_directory(tmp_path, experiment_id):
+    with pytest.raises(ValueError, match="unknown experiment"):
+        run_experiment(experiment_id, out_dir=tmp_path / "exp")
+    assert not (tmp_path / "exp").exists()
+
+
+def _error_classes():
+    return [
+        cls for _, cls in inspect.getmembers(phaselock.errors, inspect.isclass)
+        if cls.__module__ == "phaselock.errors"
+    ]
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "analyze", "bounds", "invariance", "portrait"])
+@pytest.mark.parametrize("error", _error_classes(), ids=lambda cls: cls.__name__)
+def test_every_package_error_is_one_error_line(tmp_path, capsys, monkeypatch, subcommand, error):
+    exc = error(3, 0.03) if error is DivergenceError else error("bad input")
+
+    def parse_network(path):
+        raise exc
+
+    monkeypatch.setattr(phaselock.cli, "parse_network", parse_network)
+    code = main([subcommand, "--network", "net.json", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {exc}\n"
 
 
 def test_missing_network_file_is_an_error(tmp_path, capsys):

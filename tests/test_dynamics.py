@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 import phaselock.dynamics
 import phaselock.network
 from phaselock import (
+    EdgeState,
     OscillatorNetwork,
     edge_index,
     edge_transform,
@@ -127,6 +128,12 @@ def test_theta_dot_dimension_mismatch():
     net = OscillatorNetwork(3, [1.0, 2.0, 3.0], np.ones(3))
     with pytest.raises(ValueError):
         theta_dot(np.zeros(4), net)
+
+
+@pytest.mark.parametrize("x_shape,v_shape", [(3, 2), (2, 3), ((2, 2), (2, 2)), ((), ())])
+def test_edge_state_needs_equal_1d_arrays(x_shape, v_shape):
+    with pytest.raises(ValueError, match="1-D arrays of equal length"):
+        EdgeState(x=np.zeros(x_shape), v=np.zeros(v_shape))
 
 
 def _zero_network(n):

@@ -82,6 +82,36 @@ def test_parse_rejects_field_problems(tmp_path):
         parse_network(write_raw(tmp_path, {"n": 1, "omega": [1], "coupling": []}))
 
 
+_RECORD = {"i": 1, "j": 2, "k": 1.0}
+
+
+def _coupled(coupling):
+    return {"n": 3, "omega": [1, 2, 3], "coupling": coupling}
+
+
+@pytest.mark.parametrize(
+    "payload,message",
+    [
+        (_coupled([dict(_RECORD, w=1)]), "coupling[0]: unknown keys ['w']"),
+        (_coupled([_RECORD, {"j": 3, "k": 1.0}]), "coupling[1]: missing key 'i'"),
+        (_coupled([{"i": 1, "k": 1.0}]), "coupling[0]: missing key 'j'"),
+        (_coupled([dict(_RECORD, j=2.0)]), "coupling[0]: i and j must be integers"),
+        (_coupled([dict(_RECORD, i=True)]), "coupling[0]: i and j must be integers"),
+        ([3, [1, 2, 3], [1, 1, 1]], "top level must be an object"),
+        ("network", "top level must be an object"),
+        (_coupled([]), "field 'coupling' must be a non-empty list"),
+        (_coupled({"i": 1}), "field 'coupling' must be a non-empty list"),
+    ],
+    ids=["record-key", "record-no-i", "record-no-j", "record-float-j", "record-bool-i",
+         "top-list", "top-string", "coupling-empty", "coupling-object"],
+)
+def test_parse_names_the_bad_structure(tmp_path, payload, message):
+    path = write_raw(tmp_path, payload)
+    with pytest.raises(NetworkFileError) as info:
+        parse_network(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_parse_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 2,\n "omega": [1, 2\n}')

@@ -201,6 +201,30 @@ def test_network_equality_and_immutability():
         a.coupling_gains[0] = 5.0
 
 
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: edge_index(4, 2, 1), r"invalid edge \(2, 1\) for 4"),
+        (lambda: edge_index(4, 0, 4), r"invalid edge \(0, 4\) for 4"),
+        (lambda: edge_index(4, -1, 2), r"invalid edge \(-1, 2\) for 4"),
+        (lambda: OscillatorNetwork(3, [1.0, 2.0, 3.0], [1.0, np.nan, 1.0]), "gains must be finite"),
+        (lambda: OscillatorNetwork(3, [1.0, 2.0, 3.0], [np.inf, 1.0, 1.0]), "gains must be finite"),
+        (lambda: OscillatorNetwork(3, [1.0, 2.0, 3.0], [1.0, 1.0, -np.inf]), "gains must be finite"),
+    ],
+    ids=["edge-order", "edge-range", "edge-negative", "gain-nan", "gain-inf", "gain-minus-inf"],
+)
+def test_bad_edges_and_gains_are_named(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+@pytest.mark.parametrize("other", [None, 3, "chain", (3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])])
+def test_a_network_equals_no_other_type(other):
+    net = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
+    assert net.__eq__(other) is NotImplemented
+    assert net != other and not net == other
+
+
 def test_equal_networks_hash_equal():
     a = OscillatorNetwork(3, [1.0, 0.0, 3.0], [9.0, 6.0, 0.0])
     b = OscillatorNetwork(3, np.array([1.0, 0.0, 3.0]), np.array([9.0, 6.0, 0.0]))

@@ -14,6 +14,7 @@ from phaselock import (
     OscillatorNetwork,
     OutOfDomainError,
     PlanarParams,
+    SlopeInterval,
     direction_cone_estimate,
     drift_region_fixed_point,
     global_sync_verdict,
@@ -163,6 +164,12 @@ def test_direction_cone_degenerate_at_zero():
     interval = direction_cone_estimate(0.0, 0.1, P1)
     assert interval.lo == pytest.approx(interval.hi, abs=1e-15)
     assert interval.lo == pytest.approx(-math.cos(0.1), abs=1e-15)
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 0.0), (-1e-300, -2e-300), (math.nan, 1.0), (0.0, math.nan)])
+def test_slope_interval_rejects_lo_above_hi(lo, hi):
+    with pytest.raises(ValueError, match="lo <= hi"):
+        SlopeInterval(lo, hi)
 
 
 def test_direction_cone_hand_values():
