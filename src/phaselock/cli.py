@@ -35,8 +35,11 @@ from .tables import write_csv, write_json, write_trajectory
 
 __all__ = ["main"]
 
-# ValueError also covers its subclasses NetworkFileError and OutOfDomainError
-_USER_ERRORS = (ValueError, NoEquilibriumError, SingularJacobianError, DivergenceError, OSError)
+# ValueError also covers its subclasses NetworkFileError and OutOfDomainError;
+# MemoryError is a grid too long to store (numpy names the size it refused)
+_USER_ERRORS = (
+    ValueError, NoEquilibriumError, SingularJacobianError, DivergenceError, OSError, MemoryError,
+)
 
 
 def _out_dir(args) -> Path:

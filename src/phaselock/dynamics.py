@@ -176,7 +176,10 @@ def _validate_grid(t_end, dt) -> int:
         raise ValueError("dt must be positive and finite")
     if not (np.isfinite(t_end) and t_end >= dt):
         raise ValueError("t_end must be finite and at least dt")
-    return max(int(round(t_end / dt)), 1)
+    steps = float(t_end) / float(dt)
+    if not np.isfinite(steps):
+        raise ValueError("t_end / dt must be finite")
+    return max(int(round(steps)), 1)
 
 
 def _node_field(net: OscillatorNetwork):

@@ -433,6 +433,32 @@ def test_simulate_rejects_non_finite_steps(chain_file, tmp_path, capsys, t_end, 
     assert not (tmp_path / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand", ["simulate", "invariance"])
+def test_a_step_count_beyond_the_float_range_is_an_error(chain_file, tmp_path, capsys, subcommand):
+    argv = [subcommand, "--network", str(chain_file), "--t-end", "1e300", "--dt", "1e-300",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: t_end / dt must be finite\n"
+
+
+def test_a_grid_too_long_to_store_is_one_error_line(chain_file, tmp_path, capsys, monkeypatch):
+    message = "Unable to allocate 2.13 PiB for an array with shape (100000000000001, 3)"
+
+    def simulate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(phaselock.cli, "simulate", simulate)
+    argv = ["simulate", "--network", str(chain_file), "--t-end", "1e12", "--dt", "0.01",
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_analyze_reads_the_horizon_only_to_certify(pair_file, tmp_path, capsys):
     argv = ["analyze", "--network", str(pair_file), "--t-end", "0", "--out", str(tmp_path)]
     assert main(argv) == 0

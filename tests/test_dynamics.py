@@ -8,8 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import phaselock.analysis
 import phaselock.dynamics
 import phaselock.network
+import phaselock.planar
 from phaselock import (
     EdgeState,
     OscillatorNetwork,
@@ -293,6 +295,21 @@ def test_simulate_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError, match=r"m >= 1"):  # an empty batch takes no step
         simulate_many(net, np.zeros((2, 0)), 100.0, 0.01)
     assert not calls
+
+
+def test_a_step_count_beyond_the_float_range_is_a_value_error():
+    net = OscillatorNetwork(2, [1.0, 0.0], [1.0])
+    calls = [
+        lambda: simulate(net, [0.0, 0.0], 1e300, 1e-300),
+        lambda: simulate_many(net, np.zeros((2, 3)), 1e300, 1e-300),
+        lambda: phaselock.planar.simulate_planar(
+            phaselock.planar.PlanarParams(k=1.0, delta_omega=0.5), np.zeros(2), 1e300, 1e-300
+        ),
+        lambda: phaselock.analysis.invariance_certificate(net, 2, 1e300, 1e-300, seed=0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^t_end / dt must be finite$"):
+            call()
 
 
 def _oracle_simulate_many(net, theta0s, t_end, dt, stop_on_sync):
