@@ -14,9 +14,10 @@ difference ``_edge_diff`` of the node sums ``_node_sums``, edge products of
 Integration is classical fixed-step RK4, run for every flow (node and
 planar) by one generator that yields each step's state and field on demand
 and raises DivergenceError on a non-finite state; its consumers are loops.
-``simulate_many`` stores the batch and wraps it to (-pi, pi] once, counting
-sync windows over blocks of stored steps rather than at every step, while the
-invariance certificate keeps only a per-sample verdict, in O(N m) memory.
+``simulate_many`` stores the batch and wraps it to (-pi, pi] once, in blocks
+of rows, counting sync windows over blocks of stored steps rather than at
+every step; beside the stored batch it holds only block-sized temporaries.
+The invariance certificate keeps only a per-sample verdict, in O(N m) memory.
 """
 
 from __future__ import annotations
@@ -42,12 +43,25 @@ __all__ = [
 
 SYNC_TOL = 1e-6
 SYNC_WINDOW = 1.0  # seconds of sustained small frequency spread
+# Values wrapped at once, and stored values (steps x runs) counted at once:
+# each bounds a working array beside the stored batch (the wrap's mask, the
+# counter's (rows, m) temporaries) to a few kB whatever the horizon.
+_WRAP_VALUES = 4096
+_SYNC_VALUES = 512
 
 
 def _wrap_in_place(a: np.ndarray) -> np.ndarray:
-    """Wrap the float array ``a`` to (-pi, pi] in place and return it."""
-    np.mod(a, 2.0 * np.pi, out=a)
-    np.subtract(a, 2.0 * np.pi, out=a, where=a > np.pi)
+    """Wrap the float array ``a`` to (-pi, pi] in place and return it; a
+    larger array than ``_WRAP_VALUES`` goes one block of whole rows at a
+    time."""
+    if a.size <= _WRAP_VALUES:
+        blocks = (a,)
+    else:
+        step = max(1, _WRAP_VALUES * len(a) // a.size)
+        blocks = (a[start : start + step] for start in range(0, len(a), step))
+    for block in blocks:
+        np.mod(block, 2.0 * np.pi, out=block)
+        np.subtract(block, 2.0 * np.pi, out=block, where=block > np.pi)
     return a
 
 
@@ -214,16 +228,20 @@ def _count_sync(dots, start, run, sync_step, window_steps):
     """Advance the counters in place over the fields ``dots`` (T, N, m) of
     steps start, start + 1, ...: ``run`` counts each run's consecutive steps
     of spread below SYNC_TOL, and an open run (sync_step < 0) whose count
-    first reaches the window at a step k >= 1 gets k - window_steps + 1."""
-    small = np.ptp(dots, axis=1) < SYNC_TOL
-    t = np.arange(len(small))[:, None]
-    # the last large-spread row so far, or a virtual one run steps before start
-    runs = t - np.maximum.accumulate(np.where(small, -1 - run, t), axis=0)
-    full = runs >= window_steps
-    full[0] &= start > 0  # step 0 only seeds the counts
-    new = full.any(axis=0) & (sync_step < 0)
-    sync_step[new] = start + full.argmax(axis=0)[new] - window_steps + 1
-    run[:] = runs[-1]
+    first reaches the window at a step k >= 1 gets k - window_steps + 1.
+    The steps are taken in sub-blocks of at most ``_SYNC_VALUES`` values of
+    (steps x runs), each carrying the counts on from the one before."""
+    rows = max(1, _SYNC_VALUES // len(run))
+    for first in range(0, len(dots), rows):
+        small = np.ptp(dots[first : first + rows], axis=1) < SYNC_TOL
+        t = np.arange(len(small))[:, None]
+        # the last large-spread row so far, or a virtual one run steps before
+        runs = t - np.maximum.accumulate(np.where(small, -1 - run, t), axis=0)
+        full = runs >= window_steps
+        full[0] &= start + first > 0  # step 0 only seeds the counts
+        new = full.any(axis=0) & (sync_step < 0)
+        sync_step[new] = start + first + full.argmax(axis=0)[new] - window_steps + 1
+        run[:] = runs[-1]
 
 
 def simulate(
@@ -236,9 +254,13 @@ def simulate(
 ) -> Trajectory:
     """Integrate the network with classical RK4 at fixed step dt.
 
-    Keeping dt below 0.1 / max(1, |omega|_inf + s_max) is recommended,
-    with s_max = max_i sum_j Ktilde_ij / N the largest node strength of
-    the normalized coupling, not the largest raw gain.
+    The field's Jacobian is -L(K cos X), and lambda_max(L(K cos X)) <=
+    lambda_max(L(K)) at every state, with L(K) the weighted Laplacian of
+    the normalized coupling Ktilde/N. Classical RK4 is stable on the
+    negative real axis only for dt * lambda_max(L(K)) <= 2.785; past that
+    limit a run can oscillate spuriously without diverging. Since
+    lambda_max(L(K)) <= 2 s_max, with s_max = max_i sum_j Ktilde_ij / N the
+    largest node strength, dt <= 1.39 / s_max always stays within it.
     With ``stop_on_sync`` the run ends early once the frequency spread
     max_i theta_dot_i - min_i theta_dot_i has stayed below ``SYNC_TOL``
     for ``SYNC_WINDOW`` seconds of simulated time.

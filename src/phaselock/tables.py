@@ -9,6 +9,12 @@ bytes ``"%.15g" % v`` writes. Each finite |v| in [1e-8, 1e15) is rounded to
 15 digits exactly (``_significand15``) and spelled from a table of 4-byte
 words; exact zeros are written directly. Only subnormal, non-finite and
 larger or smaller values fall back to ``%``, one value at a time.
+
+The CSV and the JSON writer both work one block of rows at a time, so
+beside their input they hold only block-sized text and temporaries:
+``write_trajectory`` formats row blocks straight from the trajectory's
+three arrays, and ``write_json`` writes the file as it forms it, each float
+array one block of whole rows at a time.
 """
 
 from __future__ import annotations
@@ -185,16 +191,23 @@ def _g15_bytes(block: np.ndarray) -> bytes:
     return text[text != 0].tobytes()
 
 
+def _write_table(path: Path, header: str, columns) -> None:
+    """Write a header line, then the rows of the 2-D float arrays
+    ``columns`` side by side, one block of rows at a time, so no array of
+    the whole table is formed."""
+    width = sum(c.shape[1] for c in columns)
+    step = max(1, _BLOCK_VALUES // max(1, width))
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
+        for start in range(0, len(columns[0]), step):
+            block = np.concatenate([c[start : start + step] for c in columns], axis=1)
+            fh.write(_g15_bytes(block) if block.size else b"\n" * len(block))
+
+
 def write_csv(path: Path, header: str, rows) -> None:
     """Write a header line, then one line of comma-separated values per row,
     each value as ``"%.15g" % v`` writes it."""
-    rows = np.asarray(rows, dtype=float)
-    step = max(1, _BLOCK_VALUES // max(1, rows.shape[-1]))
-    with open(path, "wb") as fh:
-        fh.write(header.encode() + b"\n")
-        for start in range(0, len(rows), step):
-            block = rows[start : start + step]
-            fh.write(_g15_bytes(block) if block.size else b"\n" * len(block))
+    _write_table(path, header, [np.asarray(rows, dtype=float)])
 
 
 def write_trajectory(path: Path, traj: Trajectory) -> None:
@@ -205,16 +218,15 @@ def write_trajectory(path: Path, traj: Trajectory) -> None:
         + [f"theta_{i + 1}" for i in range(n)]
         + [f"thetadot_{i + 1}" for i in range(n)]
     )
-    write_csv(path, header, np.column_stack([traj.times, traj.thetas, traj.theta_dots]))
+    _write_table(path, header, [traj.times[:, None], traj.thetas, traj.theta_dots])
 
 
 _ZERO_TOKENS = np.array(["0.0", "-0.0"], dtype=object)
 _TINY = np.finfo(float).tiny
 
 
-def _array_text(a: np.ndarray, level: int) -> str:
-    """A float array as the nested indented lists ``json.dumps`` writes,
-    each value as ``_emit`` writes a float.
+def _float_tokens(flat: np.ndarray) -> tuple:
+    """Each value of the 1-D float array ``flat`` as ``_emit`` writes a float.
 
     Exact zeros are written directly and the other values are formatted
     in one ``%`` pass. For a normal, non-integral value that text is
@@ -223,9 +235,6 @@ def _array_text(a: np.ndarray, level: int) -> str:
     (``repr`` adds ".0" or drops the exponent), subnormal ones (fewer
     digits round-trip) and non-finite ones go through ``json.dumps``.
     """
-    if a.dtype.kind != "f":
-        raise TypeError(f"write_json takes float arrays, not {a.dtype}")
-    flat = a.ravel()
     tokens = _ZERO_TOKENS[np.signbit(flat).astype(np.intp)]
     nonzero = np.flatnonzero(flat)
     if nonzero.size:
@@ -237,7 +246,7 @@ def _array_text(a: np.ndarray, level: int) -> str:
         for idx, v in zip(redo.tolist(), rounded[redo].tolist()):
             digits[idx] = json.dumps(v)
         tokens[nonzero] = digits
-    return _array_template(a.shape, level) % tuple(tokens.tolist())
+    return tuple(tokens.tolist())
 
 
 def _array_template(shape: tuple, level: int) -> str:
@@ -252,28 +261,49 @@ def _array_template(shape: tuple, level: int) -> str:
     return "[" + inner + ("," + inner).join([row] * shape[0]) + "\n" + "  " * level + "]"
 
 
-def _emit(value, level: int, out: list[str]) -> None:
+def _write_array(a: np.ndarray, level: int, write) -> None:
+    """Write a float array as the nested indented lists ``json.dumps``
+    writes, one block of whole rows at a time, so the text and tokens of
+    the whole array are never held at once."""
+    if a.dtype.kind != "f":
+        raise TypeError(f"write_json takes float arrays, not {a.dtype}")
+    if not a.ndim or not len(a):
+        write(_array_template(a.shape, level) % _float_tokens(a.ravel()))
+        return
+    inner = "\n" + "  " * (level + 1)
+    row = _array_template(a.shape[1:], level + 1)
+    step = max(1, _BLOCK_VALUES * len(a) // max(1, a.size))
+    sep = "[" + inner
+    for start in range(0, len(a), step):
+        block = a[start : start + step]
+        template = ("," + inner).join([row] * len(block))
+        write(sep + template % _float_tokens(block.ravel()))
+        sep = "," + inner
+    write("\n" + "  " * level + "]")
+
+
+def _emit(value, level: int, write) -> None:
     inner = "\n" + "  " * (level + 1)
     if isinstance(value, np.ndarray):
-        out.append(_array_text(value, level))
+        _write_array(value, level, write)
     elif isinstance(value, float):
-        out.append(json.dumps(float("%.15g" % value)))
+        write(json.dumps(float("%.15g" % value)))
     elif isinstance(value, dict) and value:
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            out.append(sep + json.dumps(key) + ": ")
-            _emit(item, level + 1, out)
+            write(sep + json.dumps(key) + ": ")
+            _emit(item, level + 1, write)
             sep = "," + inner
-        out.append("\n" + "  " * level + "}")
+        write("\n" + "  " * level + "}")
     elif isinstance(value, (list, tuple)) and value:
         sep = "[" + inner
         for item in value:
-            out.append(sep)
-            _emit(item, level + 1, out)
+            write(sep)
+            _emit(item, level + 1, write)
             sep = "," + inner
-        out.append("\n" + "  " * level + "]")
+        write("\n" + "  " * level + "]")
     else:  # other scalars, strings and empty containers
-        out.append(json.dumps(value))
+        write(json.dumps(value))
 
 
 def write_json(path: Path, payload) -> None:
@@ -282,10 +312,10 @@ def write_json(path: Path, payload) -> None:
 
     Dicts (string keys), lists and tuples nest; float ndarrays are leaves
     written as nested lists, exact zeros as ``0.0``/``-0.0`` and
-    non-finite values as ``NaN``/``Infinity``.
+    non-finite values as ``NaN``/``Infinity``. The file is written as it
+    is formed, float arrays one block of rows at a time, so memory beyond
+    the payload stays bounded whatever its size.
     """
-    out: list[str] = []
-    _emit(payload, 0, out)
-    out.append("\n")
     with open(path, "w") as fh:
-        fh.writelines(out)
+        _emit(payload, 0, fh.write)
+        fh.write("\n")

@@ -1,0 +1,23 @@
+"""Fixtures shared by the test modules."""
+
+import tracemalloc
+
+import pytest
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Call ``fn(*args, **kwargs)`` with tracemalloc on; return its result
+    and the peak traced memory in bytes, counted from the call's start."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args, **kwargs) -> (result, peak_bytes)``."""
+    return _traced_peak

@@ -1,6 +1,5 @@
 """Equilibria, spectra, gain bounds, invariant sets, Lyapunov diagnostics."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -682,7 +681,7 @@ def test_g_matrix_matches_the_dense_incidence(case):
     assert np.array_equal(linearize(net, x)[net.n_edges:, net.n_edges:], dense)
 
 
-def test_in_set_h_at_n200_stays_small():
+def test_in_set_h_at_n200_stays_small(traced_peak):
     n = 200
     omega = np.linspace(-1.0, 1.0, n)
     net = OscillatorNetwork(n, omega, np.full(n * (n - 1) // 2, 300.0))
@@ -692,12 +691,7 @@ def test_in_set_h_at_n200_stays_small():
     k_sin = net._k_diag * np.sin(x)
     by = np.bincount(i, k_sin, n) - np.bincount(j, k_sin, n)
     v = (omega[i] - omega[j]) - (by[i] - by[j])
-    tracemalloc.start()
-    try:
-        member = in_set_h(EdgeState(x, v), net)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    member, peak = traced_peak(in_set_h, EdgeState(x, v), net)
     assert member.in_box and member.in_colspace and member.v_consistent
     assert peak < 50e6, f"in_set_h peak {peak / 1e6:.1f} MB"
 
@@ -793,17 +787,12 @@ def test_certificate_blow_up_raises_divergence(keep):
         )
 
 
-def test_certificate_peak_memory_at_n10_stays_below_8mb():
+def test_certificate_peak_memory_at_n10_stays_below_8mb(traced_peak):
     rng = np.random.default_rng(10)
     omega = rng.uniform(-1.0, 1.0, 10)
     bounds = sufficient_gain_bounds(OscillatorNetwork(10, omega, np.ones(45)))
     net = OscillatorNetwork(10, omega, 1.2 * bounds)
-    tracemalloc.start()
-    try:
-        report = invariance_certificate(net, n_samples=400, horizon=5.0, seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(invariance_certificate, net, n_samples=400, horizon=5.0, seed=0)
     assert report.passed
     assert peak < 8e6, f"certificate peak {peak / 1e6:.1f} MB"
 

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -533,16 +532,12 @@ def _k200_file(tmp_path):
     return path
 
 
-def test_analyze_at_n200_peaks_below_16_mb(tmp_path):
+def test_analyze_at_n200_peaks_below_16_mb(tmp_path, traced_peak):
     path = _k200_file(tmp_path)
     argv = ["analyze", "--network", str(path), "--out", str(tmp_path)]
     assert main(argv) == 0  # first call pays the one-off imports and parser build
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_peak(main, argv)
+    assert code == 0
     assert peak < 16e6, f"analyze peak {peak / 1e6:.2f} MB"
 
 

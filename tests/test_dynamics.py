@@ -1,6 +1,6 @@
 """Node dynamics, edge transform, integration, and field-grid tests."""
 
-import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -63,6 +63,41 @@ def test_wrap_phase_is_idempotent(x):
     # the unwrapped ones they came from
     w = wrap_phase(x)
     assert np.array_equal(wrap_phase(w), w)
+
+
+def _whole_array_wrap(x):
+    """The wrap as one pass over the whole array, full-size mask and all."""
+    a = np.array(x, dtype=float)
+    np.mod(a, 2.0 * np.pi, out=a)
+    np.subtract(a, 2.0 * np.pi, out=a, where=a > np.pi)
+    return a
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from([(), (0,), (1,), (7,), (4095,), (4097,), (9000,), (0, 3), (5, 0),
+                           (3, 2, 0), (501, 10, 4), (3, 1500, 2), (2, 3, 5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blockwise_wrap_matches_the_whole_array_formula(shape, seed):
+    rng = np.random.default_rng(seed)
+    # multiples of pi and their neighbours, where the mask's test is tight
+    k_pi = rng.integers(-1000, 1001, shape) * np.pi
+    pool = np.stack([
+        rng.uniform(-1e6, 1e6, shape), rng.uniform(-7.0, 7.0, shape), k_pi,
+        np.nextafter(k_pi, np.inf), np.nextafter(k_pi, -np.inf), np.zeros(shape), -np.zeros(shape),
+    ])
+    x = np.array(np.choose(rng.integers(0, len(pool), shape), pool))
+    want = _whole_array_wrap(x)
+    assert wrap_phase(x).tobytes() == want.tobytes()
+    a = x.copy()
+    assert phaselock.dynamics._wrap_in_place(a) is a and a.tobytes() == want.tobytes()
+    # a strided view is wrapped where it lies, and nothing beside it moves
+    if x.ndim:
+        wide = np.repeat(x, 2, axis=-1)
+        phaselock.dynamics._wrap_in_place(wide[..., ::2])
+        assert wide[..., ::2].tobytes() == want.tobytes()
+        assert wide[..., 1::2].tobytes() == x.tobytes()
 
 
 def test_theta_dot_identical_phases_returns_omega():
@@ -435,15 +470,9 @@ def _per_step_sync(dots, window_steps, run, sync_step):
     return states
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    window_steps=st.sampled_from([1, 2, 3, 100]),
-    m=st.integers(1, 5),
-    n_rows=st.integers(1, 400),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_block_sync_counter_matches_the_per_step_update(window_steps, m, n_rows, seed):
-    rng = np.random.default_rng(seed)
+def _streak_fields(rng, window_steps, m, n_rows):
+    """Fields (T, 2, m) whose spread runs in alternating streaks per column,
+    and a sync_step per column that marks some runs synchronized already."""
     # per column: alternating streaks of small spread (often one step short
     # of a window, a window, or one more) and of large spread, either first
     small = np.empty((n_rows, m), dtype=bool)
@@ -463,6 +492,19 @@ def test_block_sync_counter_matches_the_per_step_update(window_steps, m, n_rows,
     dots = np.stack([np.zeros_like(spread), spread], axis=1)  # (T, 2, m)
     # some runs already synchronized before the first step
     pre = np.where(rng.random(m) < 0.2, rng.integers(0, 5, m), -1)
+    return dots, pre
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window_steps=st.sampled_from([1, 2, 3, 100]),
+    m=st.integers(1, 5),
+    n_rows=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sync_counter_matches_the_per_step_update(window_steps, m, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    dots, pre = _streak_fields(rng, window_steps, m, n_rows)
 
     want = _per_step_sync(dots, window_steps, np.zeros(m, dtype=int), pre.copy())
     run, sync_step = np.zeros(m, dtype=int), pre.copy()
@@ -473,6 +515,40 @@ def test_block_sync_counter_matches_the_per_step_update(window_steps, m, n_rows,
         assert np.array_equal(run, want[stop - 1][0])
         assert np.array_equal(sync_step, want[stop - 1][1])
         start = stop
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    window_steps=st.sampled_from([1, 2, 3, 15, 16, 17, 100]),
+    m=st.integers(1, 5),
+    n_rows=st.integers(1, 400),
+    size=st.integers(1, 420),
+    sub_values=st.sampled_from([1, 2, 7, 16, 512]),
+    stop_early=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_counting_in_sub_blocks_of_any_size_matches_one_pass(
+    window_steps, m, n_rows, size, sub_values, stop_early, seed
+):
+    rng = np.random.default_rng(seed)
+    dots, pre = _streak_fields(rng, window_steps, m, n_rows)
+    if stop_early:  # an early-stopping batch ends at the step its last run syncs
+        states = _per_step_sync(dots, window_steps, np.zeros(m, dtype=int), pre.copy())
+        done = [k for k, (_, sync) in enumerate(states) if k > 0 and (sync >= 0).all()]
+        dots = dots[: done[0] + 1] if done else dots
+
+    # one pass: the whole stored batch as a single block of rows
+    whole_run, whole_sync = np.zeros(m, dtype=int), pre.copy()
+    with mock.patch.object(phaselock.dynamics, "_SYNC_VALUES", len(dots) * m):
+        phaselock.dynamics._count_sync(dots, 0, whole_run, whole_sync, window_steps)
+    # calls of ``size`` steps, each split into sub-blocks of sub_values // m rows
+    run, sync_step = np.zeros(m, dtype=int), pre.copy()
+    with mock.patch.object(phaselock.dynamics, "_SYNC_VALUES", sub_values):
+        for start in range(0, len(dots), size):
+            phaselock.dynamics._count_sync(dots[start : start + size], start, run, sync_step,
+                                           window_steps)
+    assert np.array_equal(run, whole_run)
+    assert np.array_equal(sync_step, whole_sync)
 
 
 def test_early_stop_counts_sync_windows_in_blocks(monkeypatch):
@@ -511,18 +587,13 @@ def test_early_stop_evaluates_the_field_only_for_the_steps_taken(monkeypatch):
     assert len(calls) == 1 + 4 * traj.n_steps
 
 
-def test_early_stop_peak_memory_of_five_network_stays_below_1_2mb():
+def test_early_stop_peak_memory_of_five_network_stays_below_1_2mb(traced_peak):
     # the run stops after 3294 of 20000 steps; storing the whole horizon
     # peaked at 1.87 MB, the steps taken are 0.26 MB
     from phaselock.experiments import FIVE_NETWORK_THETA0, five_network_network
 
     net = five_network_network()
-    tracemalloc.start()
-    try:
-        traj = simulate(net, FIVE_NETWORK_THETA0, 100.0, 0.005, stop_on_sync=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, peak = traced_peak(simulate, net, FIVE_NETWORK_THETA0, 100.0, 0.005, stop_on_sync=True)
     assert traj.n_steps < 20000
     assert peak < 1.2e6, f"simulate peak {peak / 1e6:.2f} MB"
 
@@ -563,20 +634,28 @@ def test_simulation_leaves_the_incidence_unbuilt(monkeypatch):
     simulate_many(net, np.column_stack([theta0, -theta0]), 0.05, 0.01)
 
 
-def test_simulate_many_peak_memory_at_n10_stays_below_4_5mb():
+def test_simulate_many_peak_memory_at_n10_stays_below_4_5mb(traced_peak):
     # 40 columns of 501 stored steps at N = 10 are 1.6 MB of phases and
     # 1.6 MB of fields; the gate fails if either is held twice
     rng = np.random.default_rng(10)
     net = random_network(10, rng)
     theta0s = rng.uniform(-1.0, 1.0, (10, 40))
-    tracemalloc.start()
-    try:
-        trajectories = simulate_many(net, theta0s, 5.0, 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    trajectories, peak = traced_peak(simulate_many, net, theta0s, 5.0, 0.01)
     assert len(trajectories) == 40 and trajectories[0].n_steps == 500
     assert peak < 4.5e6, f"simulate_many peak {peak / 1e6:.2f} MB"
+
+
+def test_simulate_many_peaks_within_0_1_mb_of_its_stored_arrays(traced_peak):
+    # a full-size wrap mask (0.2 MB) or the sync counter's (rows, m)
+    # temporaries over a whole window of steps would break the gate
+    rng = np.random.default_rng(10)
+    net = random_network(10, rng)
+    theta0s = rng.uniform(-1.0, 1.0, (10, 40))
+    simulate_many(net, theta0s, 0.05, 0.01)  # first call pays one-off set-up
+    trajectories, peak = traced_peak(simulate_many, net, theta0s, 5.0, 0.01)
+    stored = 2 * 501 * 10 * 40 * 8  # phases and fields, 3.206 MB
+    assert len(trajectories) == 40 and trajectories[0].n_steps == 500
+    assert peak - stored <= 0.1e6, f"{(peak - stored) / 1e6:.3f} MB above the stored arrays"
 
 
 def test_early_stop_holds_only_the_steps_taken():

@@ -3,7 +3,6 @@
 import json
 import math
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from phaselock import OscillatorNetwork, simulate
+from phaselock.dynamics import Trajectory
 from phaselock.planar import PlanarParams, direction_cone_estimate, nontangency_planar
 from phaselock.tables import write_csv, write_json, write_trajectory
 
@@ -113,17 +113,12 @@ def test_empty_tables_match_the_per_value_writer(tmp_path, shape):
     assert _same_bytes(tmp_path, "h", np.zeros(shape))
 
 
-def test_writing_a_simulate_n100_table_allocates_at_most_1_mb(tmp_path):
+def test_writing_a_simulate_n100_table_allocates_at_most_1_mb(tmp_path, traced_peak):
     rng = np.random.default_rng(5)
     rows = np.cumsum(rng.standard_normal((501, 201)) * 0.01, axis=0)
     rows[:, 0] = np.arange(501) * 0.01
     write_csv(tmp_path / "warm.csv", "h", rows[:2])
-    tracemalloc.start()
-    try:
-        write_csv(tmp_path / "table.csv", "h", rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(write_csv, tmp_path / "table.csv", "h", rows)
     assert peak <= 1.0e6, f"write_csv allocated {peak / 1e6:.2f} MB above its input"
 
 
@@ -178,9 +173,34 @@ _json_floats = st.one_of(st.sampled_from(JSON_SPECIAL), st.floats())
 _json_scalars = st.one_of(
     _json_floats, st.integers(-(10**20), 10**20), st.booleans(), st.none(), st.text(max_size=6)
 )
+
+
+@st.composite
+def _block_arrays(draw):
+    """Arrays the writer takes in more than one block of 2048 values (long
+    1-D, rows of 3 or 7 values that do not tile a block, rows longer than
+    a block, 3-D), or 0-d and empty ones; float64 or float32, with
+    integral values mixed in."""
+    shape = draw(st.sampled_from([
+        (2049,), (4097,), (1000, 3), (700, 7), (2, 2049), (1030, 2, 1), (400, 3, 2),
+        (), (0,), (0, 3), (3, 0), (2, 0, 4),
+    ]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.stack([
+        rng.choice(JSON_SPECIAL, shape),
+        rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 20, shape),
+        rng.integers(-(10**6), 10**6, shape).astype(float),  # integral-valued
+        np.floor(rng.uniform(1e14, 1e17, shape)),  # integral, around the exponent switch
+    ])
+    values = np.choose(rng.integers(0, len(pool), shape), pool)
+    with np.errstate(over="ignore"):  # float32 takes the largest values to inf
+        return np.array(values, dtype=draw(st.sampled_from([np.float64, np.float32])))
+
+
 _json_arrays = st.one_of(
     arrays(float, st.integers(0, 12), elements=_json_floats),
     arrays(float, st.tuples(st.integers(0, 8), st.just(2)), elements=_json_floats),
+    _block_arrays(),
 )
 _json_payloads = st.recursive(
     st.one_of(_json_scalars, _json_arrays),
@@ -211,6 +231,33 @@ def test_special_values_match_the_json_oracle(tmp_path):
 def test_random_payloads_match_the_json_oracle(payload):
     with tempfile.TemporaryDirectory() as tmp:
         assert _written(tmp, payload) == oracle_json(payload)
+
+
+def test_writing_a_ring500_report_allocates_at_most_2_mb(tmp_path, traced_peak):
+    # the arrays of an N = 500 analyze report: three edge-long vectors and
+    # the eigenvalue pairs, 16 MB of JSON
+    rng = np.random.default_rng(500)
+    e = 500 * 499 // 2
+    payload = {
+        "per_edge_sufficient": rng.uniform(0.0, 500.0, e),
+        "onset_lower": rng.uniform(0.0, 500.0, e),
+        "equilibrium": rng.uniform(-1.5, 1.5, e),
+        "eigenvalues": rng.standard_normal((2 * e, 2)),
+        "classification": "semistable-candidate",
+    }
+    write_json(tmp_path / "warm.json", {"a": payload["equilibrium"][:3]})
+    _, peak = traced_peak(write_json, tmp_path / "report.json", payload)
+    assert peak <= 2.0e6, f"write_json allocated {peak / 1e6:.2f} MB above its input"
+
+
+def test_writing_a_2001_by_200_trajectory_allocates_at_most_1_mb(tmp_path, traced_peak):
+    rng = np.random.default_rng(6)
+    times = np.arange(2001) * 0.01
+    thetas = rng.uniform(-np.pi, np.pi, (2001, 200))
+    traj = Trajectory(times=times, thetas=thetas, theta_dots=rng.standard_normal((2001, 200)))
+    write_trajectory(tmp_path / "warm.csv", Trajectory(times[:2], thetas[:2], thetas[:2]))
+    _, peak = traced_peak(write_trajectory, tmp_path / "trajectory.csv", traj)
+    assert peak <= 1.0e6, f"write_trajectory allocated {peak / 1e6:.2f} MB above its input"
 
 
 def test_write_json_rejects_non_float_arrays(tmp_path):
