@@ -71,7 +71,7 @@ from .planar import (
     phase_difference_rate,
     phase_locked_offset,
     planar_field,
-    region_g_boundary,
+    region_g_bounds,
     simulate_planar,
 )
 

@@ -329,18 +329,6 @@ def nontangency_rank_test(net: OscillatorNetwork, x) -> bool:
     return _full_rank(np.linalg.eigvalsh(lap))
 
 
-def _set_h_inequality(net: OscillatorNetwork, sin_abs_x: np.ndarray) -> np.ndarray:
-    """Per-edge slack RHS - LHS of the face-blocking gain inequality.
-
-    ``sin_abs_x`` is sin|X| with edge index last, so trajectories pass a
-    (T, e) array and single states pass shape (e,).
-    """
-    n = net.n_oscillators
-    lhs = _edge_frequency_mismatch(net)
-    rhs = (2.0 / n) * net.coupling_gains + _neighbor_sum(net, net.coupling_gains * sin_abs_x) / n
-    return rhs - lhs
-
-
 def in_set_h(state: EdgeState, net: OscillatorNetwork) -> SetHMembership:
     """Membership of an edge state in the invariant set.
 
@@ -358,7 +346,10 @@ def in_set_h(state: EdgeState, net: OscillatorNetwork) -> SetHMembership:
     residual = x - _edge_diff(net, _node_sums(net, x)) / net.n_oscillators
     in_colspace = bool(np.linalg.norm(residual) <= COLSPACE_TOL)
     v_consistent = bool(np.max(np.abs(v - _edge_field(net, x))) <= CONSISTENCY_TOL)
-    slack = _set_h_inequality(net, np.sin(np.abs(x)))
+    # per-edge slack RHS - LHS of the face-blocking gain inequality
+    n, gains = net.n_oscillators, net.coupling_gains
+    rhs = (2.0 / n) * gains + _neighbor_sum(net, gains * np.sin(np.abs(x))) / n
+    slack = rhs - _edge_frequency_mismatch(net)
     return SetHMembership(
         in_set=in_box and in_colspace and v_consistent and bool(np.all(slack >= 0.0)),
         slack=slack,

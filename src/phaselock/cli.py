@@ -170,14 +170,7 @@ def _cmd_portrait(args) -> int:
     if params is not None:
         # interior grid: the trapping region excludes its x1 endpoints
         x1 = np.linspace(-np.pi / 2, np.pi / 2, args.grid + 2)[1:-1]
-        rows = [
-            (
-                v,
-                planar.region_g_boundary(v, params, "upper"),
-                planar.region_g_boundary(v, params, "lower"),
-            )
-            for v in x1
-        ]
+        rows = [(v, *planar.region_g_bounds(v, params)) for v in x1]
         write_csv(out / "gboundary.csv", "x1,upper,lower", rows)
 
         eps = planar.DEFAULT_CONE_EPS

@@ -17,6 +17,8 @@ and raises DivergenceError on a non-finite state; its consumers are loops.
 ``simulate_many`` stores the batch and wraps it to (-pi, pi] once, in blocks
 of rows, counting sync windows over blocks of stored steps rather than at
 every step; beside the stored batch it holds only block-sized temporaries.
+An early-stopping batch's store doubles in place when full and is cut in
+place to the steps taken, so its steps are held once.
 The invariance certificate keeps only a per-sample verdict, in O(N m) memory.
 """
 
@@ -43,23 +45,23 @@ __all__ = [
 
 SYNC_TOL = 1e-6
 SYNC_WINDOW = 1.0  # seconds of sustained small frequency spread
-# Values wrapped at once, and stored values (steps x runs) counted at once:
-# each bounds a working array beside the stored batch (the wrap's mask, the
-# counter's (rows, m) temporaries) to a few kB whatever the horizon.
-_WRAP_VALUES = 4096
+# Stored values taken at once by every pass over them (the wrap here, the
+# CSV and JSON writers in ``tables``), and stored values (steps x runs)
+# counted at once: each bounds the working arrays beside the stored batch
+# (the wrap's mask, the writers' text, the counter's (rows, m) temporaries)
+# whatever the horizon.
+_BLOCK_VALUES = 2048
 _SYNC_VALUES = 512
 
 
 def _wrap_in_place(a: np.ndarray) -> np.ndarray:
-    """Wrap the float array ``a`` to (-pi, pi] in place and return it; a
-    larger array than ``_WRAP_VALUES`` goes one block of whole rows at a
-    time."""
-    if a.size <= _WRAP_VALUES:
-        blocks = (a,)
-    else:
-        step = max(1, _WRAP_VALUES * len(a) // a.size)
-        blocks = (a[start : start + step] for start in range(0, len(a), step))
-    for block in blocks:
+    """Wrap the float array ``a`` to (-pi, pi] in place and return it, one
+    block of whole rows (at most ``_BLOCK_VALUES`` values, or one row) at
+    a time; a 0-d array is one row."""
+    rows = a if a.ndim else a[None]
+    step = max(1, _BLOCK_VALUES * len(rows) // max(1, rows.size))
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
         np.mod(block, 2.0 * np.pi, out=block)
         np.subtract(block, 2.0 * np.pi, out=block, where=block > np.pi)
     return a
@@ -287,9 +289,9 @@ def simulate_many(
     ``theta0s`` has shape (N, m), one column per trajectory. All runs share
     the time grid; with ``stop_on_sync`` the batch stops once every run has
     held a sustained sync window (runs keep their individual detection
-    times). An early-stopping batch is stored in rows that start small and
-    double when full, and it keeps only the steps taken. The trajectories
-    view columns of the one stored batch.
+    times). An early-stopping batch is stored in rows that start small,
+    double in place (``ndarray.resize``) when full and are cut in place to
+    the steps taken. The trajectories view columns of the one stored batch.
     The sync-window counters run over blocks of at most one window of
     stored steps: at step 0, then only at the first step where the open run
     furthest from a full window could complete, and at the last step, so a
@@ -314,9 +316,9 @@ def simulate_many(
     with np.errstate(over="ignore", invalid="ignore"):
         for k, theta, td in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
             if k == len(thetas):  # the early-stopping store is full: double it
-                more = min(k, n_steps + 1 - k)
-                thetas = np.concatenate([thetas, np.empty_like(thetas[:more])])
-                dots = np.concatenate([dots, np.empty_like(dots[:more])])
+                grown = (min(2 * k, n_steps + 1),) + thetas.shape[1:]
+                thetas.resize(grown)
+                dots.resize(grown)
             thetas[k] = theta
             dots[k] = td
             if k != min(check, n_steps):  # counting now could not change the answer
@@ -332,7 +334,8 @@ def simulate_many(
                 check = k + max(1, (window_steps - run[open_]).max(initial=0))
 
     if k + 1 < len(thetas):  # stopped early: keep only the steps taken
-        thetas, dots = thetas[: k + 1].copy(), dots[: k + 1].copy()
+        thetas.resize((k + 1,) + thetas.shape[1:])
+        dots.resize(thetas.shape)
     thetas = _wrap_in_place(thetas)
     times = np.arange(k + 1) * dt
     return [

@@ -28,7 +28,7 @@ __all__ = [
     "SlopeInterval",
     "GlobalSyncReport",
     "planar_field",
-    "region_g_boundary",
+    "region_g_bounds",
     "in_region_g",
     "direction_cone_estimate",
     "nontangency_planar",
@@ -81,19 +81,14 @@ def planar_field(x, p: PlanarParams) -> np.ndarray:
     return out
 
 
-def region_g_boundary(x1: float, p: PlanarParams, side: str) -> float:
-    """Frequency-difference bound of the trapping region at phase x1.
-
-    ``side`` selects the upper boundary K(1 - sin x1) or the lower boundary
-    -K(1 + sin x1). Only defined for x1 strictly inside (-pi/2, pi/2).
+def region_g_bounds(x1: float, p: PlanarParams) -> tuple[float, float]:
+    """Frequency-difference bounds (upper, lower) of the trapping region at
+    phase x1: K(1 - sin x1) and -K(1 + sin x1). Only defined for x1
+    strictly inside (-pi/2, pi/2).
     """
     if not -np.pi / 2 < x1 < np.pi / 2:
         raise OutOfDomainError(f"x1 = {x1:g} outside (-pi/2, pi/2)")
-    if side == "upper":
-        return p.k * (1.0 - math.sin(x1))
-    if side == "lower":
-        return -p.k * (1.0 + math.sin(x1))
-    raise ValueError("side must be 'upper' or 'lower'")
+    return p.k * (1.0 - math.sin(x1)), -p.k * (1.0 + math.sin(x1))
 
 
 def in_region_g(x, p: PlanarParams) -> bool:
@@ -101,7 +96,8 @@ def in_region_g(x, p: PlanarParams) -> bool:
     x1, x2 = float(x[0]), float(x[1])
     if not -np.pi / 2 < x1 < np.pi / 2:
         return False
-    return -p.k * (1.0 + math.sin(x1)) <= x2 <= p.k * (1.0 - math.sin(x1))
+    upper, lower = region_g_bounds(x1, p)
+    return lower <= x2 <= upper
 
 
 def _validate_cone_inputs(a: float, eps: float):

@@ -10,8 +10,10 @@ bytes ``"%.15g" % v`` writes. Each finite |v| in [1e-8, 1e15) is rounded to
 words; exact zeros are written directly. Only subnormal, non-finite and
 larger or smaller values fall back to ``%``, one value at a time.
 
-The CSV and the JSON writer both work one block of rows at a time, so
-beside their input they hold only block-sized text and temporaries:
+The CSV and the JSON writer both work one block of rows at a time, at most
+``dynamics._BLOCK_VALUES`` values (the block size of the phase wrap), so
+beside their input they hold only block-sized text and temporaries (about
+0.35 MB):
 ``write_trajectory`` formats row blocks straight from the trajectory's
 three arrays, and ``write_json`` writes the file as it forms it, each float
 array one block of whole rows at a time.
@@ -24,11 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Trajectory
+from .dynamics import _BLOCK_VALUES, Trajectory
 
 __all__ = ["write_csv", "write_json", "write_trajectory"]
-
-_BLOCK_VALUES = 2048  # values formatted at once; bounds the working arrays (about 0.35 MB)
 
 # Offsets into _WORDS, the 4-byte words a value is spelled with; a NUL byte
 # is one the word leaves unwritten.
@@ -195,7 +195,7 @@ def _write_table(path: Path, header: str, columns) -> None:
     """Write a header line, then the rows of the 2-D float arrays
     ``columns`` side by side, one block of rows at a time, so no array of
     the whole table is formed."""
-    width = sum(c.shape[1] for c in columns)
+    width = sum(c.shape[-1] for c in columns)  # an empty row list is 1-D
     step = max(1, _BLOCK_VALUES // max(1, width))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
@@ -206,7 +206,7 @@ def _write_table(path: Path, header: str, columns) -> None:
 
 def write_csv(path: Path, header: str, rows) -> None:
     """Write a header line, then one line of comma-separated values per row,
-    each value as ``"%.15g" % v`` writes it."""
+    each value as ``"%.15g" % v`` writes it; no rows, the header alone."""
     _write_table(path, header, [np.asarray(rows, dtype=float)])
 
 

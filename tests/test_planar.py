@@ -23,7 +23,7 @@ from phaselock import (
     phase_difference_rate,
     phase_locked_offset,
     planar_field,
-    region_g_boundary,
+    region_g_bounds,
     simulate,
     simulate_planar,
     wrap_phase,
@@ -69,16 +69,13 @@ def test_field_at_quarter_turn_has_no_rotation_component():
 
 def test_boundary_values():
     p = PlanarParams(k=1.0, delta_omega=0.0)
-    assert region_g_boundary(0.0, p, "upper") == 1.0
-    assert region_g_boundary(0.0, p, "lower") == -1.0
-    # closes to zero approaching the right corner
-    assert abs(region_g_boundary(np.pi / 2 - 1e-9, p, "upper")) < 1e-9
+    assert region_g_bounds(0.0, p) == (1.0, -1.0)
+    # the upper bound closes to zero approaching the right corner
+    assert abs(region_g_bounds(np.pi / 2 - 1e-9, p)[0]) < 1e-9
     with pytest.raises(OutOfDomainError):
-        region_g_boundary(np.pi / 2, p, "upper")
+        region_g_bounds(np.pi / 2, p)
     with pytest.raises(OutOfDomainError):
-        region_g_boundary(-2.0, p, "lower")
-    with pytest.raises(ValueError):
-        region_g_boundary(0.0, p, "sideways")
+        region_g_bounds(-2.0, p)
 
 
 def test_membership_rules():

@@ -108,9 +108,11 @@ def test_short_decimals_match_the_per_value_writer(pairs):
         assert _same_bytes(tmp, "a,b,c", np.tile(rows, 3))
 
 
-@pytest.mark.parametrize("shape", [(0, 3), (0, 1), (4, 0), (1, 0), (0, 0)])
+@pytest.mark.parametrize("shape", [(0, 3), (0, 1), (4, 0), (1, 0), (0, 0), (0,)])
 def test_empty_tables_match_the_per_value_writer(tmp_path, shape):
+    # (0,) is an empty row list: the header alone
     assert _same_bytes(tmp_path, "h", np.zeros(shape))
+    assert _same_bytes(tmp_path, "a,b", np.zeros(shape).tolist())
 
 
 def test_writing_a_simulate_n100_table_allocates_at_most_1_mb(tmp_path, traced_peak):
