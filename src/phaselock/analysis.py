@@ -22,7 +22,7 @@ inequality that blocks exit through each box face.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .dynamics import (
     _rk4_steps,
     _validate_grid,
     g_matrix,
-    simulate_many,
     theta_dot,
     wrap_phase,
 )
@@ -186,7 +185,8 @@ class AttractingSetReport:
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Monte-Carlo certificate that sampled trajectories stay in the set."""
+    """Monte-Carlo certificate that sampled trajectories stay in the set:
+    its verdict counts, without the trajectories behind them."""
 
     passed: bool
     bounds_met: bool
@@ -197,7 +197,6 @@ class InvarianceReport:
     dt: float
     margin: float
     seed: int | None
-    trajectories: list[Trajectory] = field(default_factory=list, repr=False)
 
 
 def solve_equilibrium(
@@ -470,8 +469,7 @@ def _sample_box_states(
 def _stays_in_box(net: OscillatorNetwork, theta: np.ndarray) -> np.ndarray:
     """Per column of node phases theta (N, m): every edge difference
     wrap(w_i - w_j) of the wrapped phases w = wrap(theta) lies in the open
-    box |x| < pi/2. wrap_phase is idempotent, so stored (wrapped) phases
-    give the same verdict as the unwrapped ones they came from.
+    box |x| < pi/2 (the ``Trajectory.edge_x`` formula).
 
     np.mod is fmod, which is exact, plus at most one rounded addition of
     2 pi, so each computed difference is theta_i - theta_j plus a multiple
@@ -494,7 +492,6 @@ def invariance_certificate(
     dt: float = 0.01,
     margin: float = 0.1,
     seed: int | None = None,
-    keep_trajectories: bool = False,
 ) -> InvarianceReport:
     """Monte-Carlo check that trajectories started in the invariant set
     stay there for the whole horizon.
@@ -510,11 +507,11 @@ def invariance_certificate(
     met the per-edge face inequality holds for every in-box state, so the
     per-step membership check reduces to confinement in the open box.
 
-    Without ``keep_trajectories`` each RK4 step is judged as it is taken
-    and only a per-sample verdict is kept, so memory is O(N n_samples)
-    whatever the horizon; the whole batch is judged until a sample first
-    escapes, and only the survivors after that. With it the trajectories
-    are stored and judged by the same test.
+    Each RK4 step is judged as it is taken and only a per-sample verdict
+    is kept, so memory is O(N n_samples) whatever the horizon; the whole
+    batch is judged until a sample first escapes, and only the survivors
+    after that. No trajectory is stored; ``simulate_many`` recomputes them
+    from the starts ``_sample_box_states`` draws with ``default_rng(seed)``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -522,20 +519,15 @@ def invariance_certificate(
     rng = np.random.default_rng(seed)
     bounds_met = bool(np.all(net.coupling_gains >= sufficient_gain_bounds(net) - 1e-12))
     theta0s = _sample_box_states(net, n_samples, margin, rng)
-    # stored steps are dense enough that an escaping difference is seen
-    # near the box face before the wrap could alias it back inside
-    if keep_trajectories:
-        trajectories = simulate_many(net, theta0s, horizon, dt)
-        stayed = np.array([_stays_in_box(net, t.thetas.T).all() for t in trajectories])
-    else:
-        trajectories = []
-        stayed = np.ones(n_samples, dtype=bool)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _, theta, _ in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
-                if stayed.all():  # verdicts are per column: no gather needed yet
-                    stayed = _stays_in_box(net, theta)
-                else:
-                    stayed[stayed] = _stays_in_box(net, theta[:, stayed])
+    # steps are dense enough that an escaping difference is seen near the
+    # box face before the wrap could alias it back inside
+    stayed = np.ones(n_samples, dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _, theta, _ in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
+            if stayed.all():  # verdicts are per column: no gather needed yet
+                stayed = _stays_in_box(net, theta)
+            else:
+                stayed[stayed] = _stays_in_box(net, theta[:, stayed])
 
     n_stayed = int(np.sum(stayed))
     fraction = n_stayed / n_samples
@@ -549,5 +541,4 @@ def invariance_certificate(
         dt=dt,
         margin=margin,
         seed=seed,
-        trajectories=trajectories,
     )

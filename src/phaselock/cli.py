@@ -96,10 +96,9 @@ def _analysis_payload(net, delta: float, guess) -> dict:
 
 
 def _invariance_payload(report, omit=()) -> dict:
-    """Every InvarianceReport field but the trajectories and ``omit``."""
-    skip = {"trajectories", *omit}
-    fields = [f.name for f in dataclasses.fields(report) if f.name not in skip]
-    return {"invariance": {name: getattr(report, name) for name in fields}}
+    """Every InvarianceReport field but ``omit``."""
+    fields = dataclasses.asdict(report).items()
+    return {"invariance": {name: value for name, value in fields if name not in omit}}
 
 
 def _cmd_analyze(args) -> int:

@@ -291,7 +291,8 @@ def simulate_many(
     held a sustained sync window (runs keep their individual detection
     times). An early-stopping batch is stored in rows that start small,
     double in place (``ndarray.resize``) when full and are cut in place to
-    the steps taken. The trajectories view columns of the one stored batch.
+    the steps taken; it is copied instead where a tracer's ``frame.f_locals``
+    holds it too. The trajectories view columns of the one stored batch.
     The sync-window counters run over blocks of at most one window of
     stored steps: at step 0, then only at the first step where the open run
     furthest from a full window could complete, and at the last step, so a
@@ -317,8 +318,11 @@ def simulate_many(
         for k, theta, td in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
             if k == len(thetas):  # the early-stopping store is full: double it
                 grown = (min(2 * k, n_steps + 1),) + thetas.shape[1:]
-                thetas.resize(grown)
-                dots.resize(grown)
+                try:
+                    thetas.resize(grown)
+                    dots.resize(grown)
+                except ValueError:  # a tracer's frame.f_locals also holds the store
+                    thetas, dots = np.resize(thetas, grown), np.resize(dots, grown)
             thetas[k] = theta
             dots[k] = td
             if k != min(check, n_steps):  # counting now could not change the answer
@@ -334,8 +338,11 @@ def simulate_many(
                 check = k + max(1, (window_steps - run[open_]).max(initial=0))
 
     if k + 1 < len(thetas):  # stopped early: keep only the steps taken
-        thetas.resize((k + 1,) + thetas.shape[1:])
-        dots.resize(thetas.shape)
+        try:
+            thetas.resize((k + 1,) + thetas.shape[1:])
+            dots.resize(thetas.shape)
+        except ValueError:
+            thetas, dots = thetas[: k + 1].copy(), dots[: k + 1].copy()
     thetas = _wrap_in_place(thetas)
     times = np.arange(k + 1) * dt
     return [

@@ -122,10 +122,6 @@ class OscillatorNetwork:
         """Diagonal of the coupling matrix, gains/N."""
         return self._k_diag
 
-    @property
-    def mean_frequency(self) -> float:
-        return float(np.mean(self.natural_frequencies))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, OscillatorNetwork):
             return NotImplemented

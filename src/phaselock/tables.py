@@ -207,7 +207,10 @@ def _write_table(path: Path, header: str, columns) -> None:
 def write_csv(path: Path, header: str, rows) -> None:
     """Write a header line, then one line of comma-separated values per row,
     each value as ``"%.15g" % v`` writes it; no rows, the header alone."""
-    _write_table(path, header, [np.asarray(rows, dtype=float)])
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 and rows.size:
+        raise ValueError(f"rows must be 2-D, one sequence per row; got shape {rows.shape}")
+    _write_table(path, header, [rows])
 
 
 def write_trajectory(path: Path, traj: Trajectory) -> None:

@@ -23,9 +23,11 @@ from phaselock import (
     simulate_many,
     solve_equilibrium,
     sufficient_gain_bounds,
+    sync_frequency,
     uniform_critical_gain,
     wrap_phase,
 )
+from phaselock.analysis import _sample_box_states
 from phaselock.experiments import FIVE_NETWORK_THETA0, five_network_network
 from phaselock.planar import phase_difference_rate
 
@@ -200,7 +202,9 @@ def test_criterion_04_locked_phase_matches_arcsine():
 @pytest.fixture(scope="module")
 def certified_networks():
     """Twenty random connected networks with gains at 1.2x the sufficient
-    thresholds (floor 0.1 on zero-mismatch edges), certified for 50 s.
+    thresholds (floor 0.1 on zero-mismatch edges), certified for 50 s,
+    each with the certificate's trajectories, recomputed by
+    ``simulate_many`` from the starts it samples.
 
     Returns (results, elapsed_seconds) so the runtime budget covers the
     certificate runs themselves."""
@@ -218,14 +222,10 @@ def certified_networks():
         gains = np.where(bounds > 1e-12, 1.2 * bounds, 0.1)
         net = OscillatorNetwork(n, omega, gains)
         report = invariance_certificate(
-            net,
-            n_samples=100,
-            horizon=50.0,
-            dt=0.01,
-            seed=9000 + idx,
-            keep_trajectories=True,
+            net, n_samples=100, horizon=50.0, dt=0.01, margin=0.1, seed=9000 + idx
         )
-        results.append((net, report))
+        theta0s = _sample_box_states(net, 100, 0.1, np.random.default_rng(9000 + idx))
+        results.append((net, report, simulate_many(net, theta0s, 50.0, 0.01)))
     return results, time.perf_counter() - start
 
 
@@ -233,7 +233,7 @@ def test_criterion_05_invariance_certificates(certified_networks):
     results, elapsed = certified_networks
     failures = []
     floor_edges = 0
-    for net, report in results:
+    for net, report, trajectories in results:
         floor_edges += int(np.sum(sufficient_gain_bounds(net) <= 1e-12))
         if not is_connected(net):
             failures.append("sampled network not connected")
@@ -243,6 +243,9 @@ def test_criterion_05_invariance_certificates(certified_networks):
             failures.append(
                 f"certificate failed: {report.n_stayed}/{report.n_samples} stayed"
             )
+        stayed = sum(bool(np.all(np.abs(t.edge_x(net)) < np.pi / 2)) for t in trajectories)
+        if stayed != report.n_stayed:
+            failures.append(f"stored trajectories: {stayed} stayed, certificate {report.n_stayed}")
     if floor_edges == 0:
         failures.append("no zero-mismatch edge exercised the gain floor")
     if elapsed >= 300.0:
@@ -260,8 +263,8 @@ def test_criterion_06_lyapunov_monotonicity(certified_networks):
     worst_increase = -np.inf
     worst_rate = -np.inf
     count = 0
-    for net, report in results:
-        for traj in report.trajectories:
+    for net, _, trajectories in results:
+        for traj in trajectories:
             v2, v2_dot = lyapunov_v2_along(traj, net)
             worst_increase = max(worst_increase, float(np.max(np.diff(v2))))
             worst_rate = max(worst_rate, float(np.max(v2_dot)))
@@ -313,7 +316,7 @@ def test_criterion_08_algebraic_identities():
             n, rng.uniform(-2, 2, n), rng.uniform(0.2, 2.0, edge_count(n))
         )
         traj = simulate(net, rng.uniform(-np.pi, np.pi, n), 2.0, 0.01)
-        dev = float(np.max(np.abs(traj.theta_dots.mean(axis=1) - net.mean_frequency)))
+        dev = float(np.max(np.abs(traj.theta_dots.mean(axis=1) - sync_frequency(net))))
         worst = max(worst, dev)
         if dev >= 1e-9:
             failures.append(f"mean frequency drift {dev:.2e} for n={n}")

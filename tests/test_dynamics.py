@@ -1,5 +1,6 @@
 """Node dynamics, edge transform, integration, and field-grid tests."""
 
+import sys
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from phaselock import (
     linearize,
     simulate,
     simulate_many,
+    sync_frequency,
     theta_dot,
     vector_field_grid,
     wrap_phase,
@@ -269,7 +271,7 @@ def test_mean_frequency_conserved(n):
     net = random_network(n, rng)
     traj = simulate(net, rng.uniform(-np.pi, np.pi, n), 2.0, 0.01)
     mean_rate = traj.theta_dots.mean(axis=1)
-    assert np.max(np.abs(mean_rate - net.mean_frequency)) < 1e-9
+    assert np.max(np.abs(mean_rate - sync_frequency(net))) < 1e-9
 
 
 def test_rk4_halving_step_shrinks_error_fourth_order():
@@ -608,6 +610,30 @@ def test_early_stop_peak_memory_of_five_network_stays_below_0_4mb(traced_peak):
     traj, peak = traced_peak(simulate, net, FIVE_NETWORK_THETA0, 100.0, 0.005, stop_on_sync=True)
     assert traj.n_steps == 3294
     assert peak <= 0.40e6, f"simulate peak {peak / 1e6:.3f} MB"
+
+
+def test_early_stop_under_a_tracer_that_reads_frame_locals():
+    # debuggers read frame.f_locals at every line; on Python 3.11 and 3.12
+    # that snapshot holds a second reference to the early-stop store
+    from phaselock.experiments import FIVE_NETWORK_THETA0, five_network_network
+
+    net = five_network_network()
+    plain = simulate(net, FIVE_NETWORK_THETA0, 100.0, 0.005, stop_on_sync=True)
+
+    def tracer(frame, event, arg):
+        frame.f_locals
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        traced = simulate(net, FIVE_NETWORK_THETA0, 100.0, 0.005, stop_on_sync=True)
+    finally:
+        sys.settrace(previous)
+    assert traced.n_steps == plain.n_steps == 3294
+    assert np.array_equal(traced.thetas, plain.thetas)
+    assert np.array_equal(traced.theta_dots, plain.theta_dots)
+    assert traced.synchronized_at == plain.synchronized_at is not None
 
 
 def test_integration_reuses_the_stored_field_as_k1(monkeypatch):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -113,6 +114,14 @@ def test_empty_tables_match_the_per_value_writer(tmp_path, shape):
     # (0,) is an empty row list: the header alone
     assert _same_bytes(tmp_path, "h", np.zeros(shape))
     assert _same_bytes(tmp_path, "a,b", np.zeros(shape).tolist())
+
+
+@pytest.mark.parametrize("rows", [[1.0, 2.0], 5.0, np.zeros((2, 2, 2))])
+def test_write_csv_names_the_shape_of_rows_that_are_not_2d(tmp_path, rows):
+    shape = np.shape(rows)
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        write_csv(tmp_path / "t.csv", "a", rows)
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_writing_a_simulate_n100_table_allocates_at_most_1_mb(tmp_path, traced_peak):
