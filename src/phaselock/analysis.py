@@ -36,7 +36,6 @@ from .dynamics import (
     _validate_grid,
     g_matrix,
     theta_dot,
-    wrap_phase,
 )
 from .errors import NoEquilibriumError, SingularJacobianError
 from .network import OscillatorNetwork, is_connected
@@ -121,7 +120,9 @@ def uniform_critical_gain(net: OscillatorNetwork) -> float:
     uniform gain for a phase-locked state (Jadbabaie, Motee & Barahona,
     ACC 2004; Chopra & Spong, IEEE TAC 2009), not the critical gain."""
     n = net.n_oscillators
-    return float(n * np.max(_edge_frequency_mismatch(net)) / (2.0 * (n - 1)))
+    top = float(np.max(_edge_frequency_mismatch(net)))
+    k0 = n * top / (2.0 * (n - 1))  # a Python float overflows to inf silently
+    return top * (n / (2.0 * (n - 1))) if k0 == np.inf else k0
 
 
 def onset_lower_bounds(net: OscillatorNetwork) -> np.ndarray:
@@ -466,23 +467,16 @@ def _sample_box_states(
     return np.concatenate(parts, axis=1)[:, :n_samples]
 
 
-def _stays_in_box(net: OscillatorNetwork, theta: np.ndarray) -> np.ndarray:
-    """Per column of node phases theta (N, m): every edge difference
-    wrap(w_i - w_j) of the wrapped phases w = wrap(theta) lies in the open
-    box |x| < pi/2 (the ``Trajectory.edge_x`` formula).
+def _stays_in_box(theta: np.ndarray) -> np.ndarray:
+    """Per column of node phases theta (N, m): the spread max - min lies in
+    the open box |x| < pi/2.
 
-    np.mod is fmod, which is exact, plus at most one rounded addition of
-    2 pi, so each computed difference is theta_i - theta_j plus a multiple
-    of 2 pi and a few 1e-16; as rounding is monotone, a column whose computed
-    spread max - min of theta is below pi/2 - 1e-12 passes every pair, and
-    only the other columns need the pairwise test.
+    theta are the unwrapped phases the certificate integrates. Each column
+    starts with spread below pi/2 and moves continuously, so while its
+    spread is below pi it is its largest circular pairwise distance; once it
+    passes pi/2 the column has left the box, even if a wrap reads it inside.
     """
-    ok = theta.max(axis=0) - theta.min(axis=0) < np.pi / 2 - 1e-12
-    rest = ~ok
-    if np.any(rest):
-        w = wrap_phase(theta[:, rest].T)
-        ok[rest] = np.all(np.abs(wrap_phase(_edge_diff(net, w))) < np.pi / 2, axis=1)
-    return ok
+    return np.ptp(theta, axis=0) < np.pi / 2
 
 
 def invariance_certificate(
@@ -507,11 +501,14 @@ def invariance_certificate(
     met the per-edge face inequality holds for every in-box state, so the
     per-step membership check reduces to confinement in the open box.
 
-    Each RK4 step is judged as it is taken and only a per-sample verdict
-    is kept, so memory is O(N n_samples) whatever the horizon; the whole
-    batch is judged until a sample first escapes, and only the survivors
-    after that. No trajectory is stored; ``simulate_many`` recomputes them
-    from the starts ``_sample_box_states`` draws with ``default_rng(seed)``.
+    Each RK4 step is judged as it is taken, by the spread of the unwrapped
+    phases (``_stays_in_box``), and only a per-sample verdict is kept, so
+    memory is O(N n_samples) whatever the horizon, even as samples escape;
+    the whole batch is judged until a sample first escapes, and only the
+    survivors after that. No trajectory is stored; ``simulate_many``
+    recomputes them from the starts ``_sample_box_states`` draws with
+    ``default_rng(seed)``. Their ``edge_x`` gives the same verdict except
+    where one step moves a difference by more than pi, which it wraps back.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -519,15 +516,13 @@ def invariance_certificate(
     rng = np.random.default_rng(seed)
     bounds_met = bool(np.all(net.coupling_gains >= sufficient_gain_bounds(net) - 1e-12))
     theta0s = _sample_box_states(net, n_samples, margin, rng)
-    # steps are dense enough that an escaping difference is seen near the
-    # box face before the wrap could alias it back inside
     stayed = np.ones(n_samples, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for _, theta, _ in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
             if stayed.all():  # verdicts are per column: no gather needed yet
-                stayed = _stays_in_box(net, theta)
+                stayed = _stays_in_box(theta)
             else:
-                stayed[stayed] = _stays_in_box(net, theta[:, stayed])
+                stayed[stayed] = _stays_in_box(theta[:, stayed])
 
     n_stayed = int(np.sum(stayed))
     fraction = n_stayed / n_samples

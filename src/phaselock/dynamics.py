@@ -19,7 +19,8 @@ of rows, counting sync windows over blocks of stored steps rather than at
 every step; beside the stored batch it holds only block-sized temporaries.
 An early-stopping batch's store doubles in place when full and is cut in
 place to the steps taken, so its steps are held once.
-The invariance certificate keeps only a per-sample verdict, in O(N m) memory.
+The invariance certificate keeps only a per-sample verdict, read off the
+spread of its unwrapped phases, in O(N m) memory even as samples escape.
 """
 
 from __future__ import annotations

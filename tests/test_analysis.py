@@ -184,6 +184,14 @@ def test_uniform_critical_gain_values():
     assert uniform_critical_gain(OscillatorNetwork(4, np.full(4, 3.0), np.ones(6))) == 0.0
 
 
+def test_uniform_critical_gain_does_not_overflow_below_the_float_range():
+    # N max|omega_i - omega_j| = 3e308 overflows; K0 itself is 7.5e307
+    net = OscillatorNetwork(3, [0.0, 1.0, 1e308], np.ones(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert uniform_critical_gain(net) == 0.75 * 1e308
+
+
 def test_onset_lower_at_uniform_threshold():
     # with every gain at the uniform threshold, the tightest edge sits
     # exactly at its onset value
@@ -779,9 +787,9 @@ def test_streamed_certificate_gathers_only_after_the_first_escape(monkeypatch):
         OscillatorNetwork(3, omega, np.ones(3))))
     widths, judge = [], phaselock.analysis._stays_in_box
 
-    def judging(net, theta):
+    def judging(theta):
         widths.append(theta.shape[1])
-        return judge(net, theta)
+        return judge(theta)
 
     monkeypatch.setattr(phaselock.analysis, "_stays_in_box", judging)
     streamed = invariance_certificate(net, n_samples=20, horizon=1.0, dt=0.02, seed=0)
@@ -792,6 +800,67 @@ def test_streamed_certificate_gathers_only_after_the_first_escape(monkeypatch):
     # all 20 columns are judged whole until step 10, then only the survivors
     assert widths[:11] == [20] * 11 and widths[11] < 20 and widths[-1] == 12
     assert len(set(widths)) > 3
+
+
+def _wrapped_pairwise_verdict(theta):
+    """Reference judge: every wrapped difference of the wrapped phases of a
+    column lies in the open box (the ``Trajectory.edge_x`` formula)."""
+    w = wrap_phase(theta)
+    i, j = np.triu_indices(theta.shape[0], 1)
+    return np.all(np.abs(wrap_phase(w[i] - w[j])) < np.pi / 2, axis=0)
+
+
+@st.composite
+def phase_columns(draw):
+    """(N, m) node phases with raw spread below pi per column: inside the
+    box, spread over the circle, or nudged to the face, each shifted by a
+    multiple of 2 pi, across +-pi, or out to |theta| ~ 1e6."""
+    n, m = draw(st.integers(2, 8)), draw(st.integers(1, 6))
+    columns = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["box", "circle", "face"]))
+        if kind == "box":
+            spread = draw(st.floats(0.0, np.pi / 2, exclude_max=True))
+        elif kind == "circle":
+            spread = draw(st.floats(0.0, 3.1))
+        else:
+            nudge = draw(st.sampled_from([1e-15, 1e-13, 2e-12, 1e-10, 1e-6]))
+            spread = np.pi / 2 + draw(st.sampled_from([-1, 1])) * nudge
+        offsets = draw(arrays(float, n, elements=st.floats(0.0, 1.0)))
+        offsets[:2] = 0.0, 1.0
+        shift = draw(
+            st.sampled_from([0.0, np.pi - spread / 2, -np.pi - spread / 2])
+            | st.integers(-1000, 1000).map(lambda k: 2.0 * np.pi * k)
+            | st.floats(-1e6, 1e6)
+        )
+        columns.append(draw(st.permutations(list(shift + spread * offsets))))
+    return np.array(columns).T
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_columns())
+def test_box_judge_matches_the_wrapped_pairwise_formula(theta):
+    assert np.all(np.ptp(theta, axis=0) < np.pi)
+    away = np.abs(np.ptp(theta, axis=0) - np.pi / 2) > 1e-12
+    judged = phaselock.analysis._stays_in_box(theta)
+    assert np.array_equal(judged[away], _wrapped_pairwise_verdict(theta)[away])
+
+
+def test_box_judge_counts_a_difference_past_the_far_face_as_escaped():
+    # wrapped, the difference 2 pi - 1.2 reads -1.2, inside the box
+    theta = np.array([[0.0], [2.0 * np.pi - 1.2]])
+    assert _wrapped_pairwise_verdict(theta)[0]
+    assert not phaselock.analysis._stays_in_box(theta)[0]
+
+
+def test_certificate_counts_a_full_turn_in_one_step_as_escaped():
+    # uncoupled, one step turns the difference of the pair by 2 pi: each
+    # sample leaves the box and comes back to its start modulo 2 pi
+    net = OscillatorNetwork(2, [0.0, 2.0 * np.pi], [0.0])
+    report = invariance_certificate(net, n_samples=10, horizon=1.0, dt=1.0, seed=0)
+    assert report.n_stayed == 0
+    stored = _stored_trajectories(net, 10, 1.0, 1.0, 0)
+    assert _stored_verdict(stored, net) == 10
 
 
 def test_certificate_blow_up_raises_divergence():
@@ -809,6 +878,23 @@ def test_certificate_peak_memory_at_n10_stays_below_8mb(traced_peak):
     report, peak = traced_peak(invariance_certificate, net, n_samples=400, horizon=5.0, seed=0)
     assert report.passed
     assert peak < 8e6, f"certificate peak {peak / 1e6:.1f} MB"
+
+
+def test_escaping_certificate_at_n1000_peaks_below_20mb(traced_peak):
+    # a ring at gain 5N far below its thresholds: all 40 samples leave the
+    # box in the first step; one (40, e) array of edge differences is 160 MB
+    n = 1000
+    i = np.arange(n - 1)
+    gains = np.zeros(n * (n - 1) // 2)
+    gains[i * (2 * n - i - 1) // 2] = 5.0 * n  # edges (i, i + 1)
+    gains[n - 2] = 5.0 * n  # edge (0, n - 1)
+    omega = np.random.default_rng(1000).uniform(-50.0, 50.0, n)
+    net = OscillatorNetwork(n, omega, gains)
+    report, peak = traced_peak(
+        invariance_certificate, net, n_samples=40, horizon=0.01, dt=0.01, seed=0
+    )
+    assert report.n_stayed == 0
+    assert peak < 20e6, f"certificate peak {peak / 1e6:.1f} MB"
 
 
 # A sync verdict means the frequency differences die out: with every gain
