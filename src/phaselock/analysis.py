@@ -7,11 +7,11 @@ space of B^T. Linearizing the edge-space flow about (X*, 0) gives the
 block matrix A = [[0, I], [0, G(X*)]], G = -B^T B K diag(cos X*), whose
 spectrum is 2e - (N-1) structural zeros plus the spectrum of -L(X*) on the
 complement of the ones vector, L(X) = B K diag(cos X) B^T being the N x N
-weighted graph Laplacian. Classification, the Newton solve and the
-nontangency rank test all work with L on that complement, in one
-Householder basis, so they form no e x e matrix and pin no phase; Newton
-and the rank test share one rank rule. L and the other edge products are
-imported from ``network``, which owns the edge order.
+weighted graph Laplacian, read by Newton and classification on that
+complement in one Householder basis (no e x e matrix). Inside the open box
+every cos x_i > 0, so L is positive semidefinite with kernel the ones vector
+iff the positive-gain graph is connected (Fiedler 1973): the in-box verdicts
+read that graph. L and the other edge products come from ``network``.
 
 The invariant set H is the open box |x_i| < pi/2 intersected with the
 column space, with frequency differences slaved to the phases through the
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    _BLOCK_VALUES,
     EdgeState,
     Trajectory,
     _edge_field,
@@ -77,11 +78,13 @@ COLSPACE_TOL = 1e-9  # set H: 2-norm distance of X from the column space
 CONSISTENCY_TOL = 1e-9  # set H: max-norm mismatch of V with the identity
 
 
-def _edge_frequency_mismatch(net: OscillatorNetwork) -> np.ndarray:
-    """Per-edge |omega_i - omega_j| in edge order, i.e. |B^T omega|; a
-    difference beyond the float range is inf, the bound it stands for."""
+def _edge_frequency_mismatch(net: OscillatorNetwork, edges=slice(None)) -> np.ndarray:
+    """|B^T omega| at the edge positions ``edges``; a difference beyond the
+    float range is inf, the bound it stands for."""
+    i, j = net._ends
+    omega = net.natural_frequencies
     with np.errstate(over="ignore"):
-        return np.abs(_edge_diff(net, net.natural_frequencies))
+        return np.abs(omega[i[edges]] - omega[j[edges]])
 
 
 @functools.lru_cache(maxsize=1)
@@ -93,26 +96,16 @@ def _complement_basis(n: int) -> np.ndarray:
     return v
 
 
-def _restricted_laplacian(net: OscillatorNetwork, w: np.ndarray):
-    """Householder basis V of the complement of the ones vector, and V^T L(w) V."""
-    v = _complement_basis(net.n_oscillators)
-    return v, v.T @ _laplacian(net, w) @ v
-
-
-def _full_rank(eigs: np.ndarray) -> bool:
-    """The rank rule: every |eigenvalue| lies above RANK_TOL times the largest."""
-    return bool(np.all(np.abs(eigs) > RANK_TOL * np.abs(eigs).max()))
-
-
 def sync_frequency(net: OscillatorNetwork) -> float:
     """Common limit frequency of a synchronized network: the mean of omega."""
     return float(np.mean(net.natural_frequencies))
 
 
-def sufficient_gain_bounds(net: OscillatorNetwork) -> np.ndarray:
+def sufficient_gain_bounds(net: OscillatorNetwork, edges=slice(None)) -> np.ndarray:
     """Per-edge gain thresholds (N/2) |omega_i - omega_j| that make the
-    half-circle box positively invariant."""
-    return 0.5 * net.n_oscillators * _edge_frequency_mismatch(net)
+    half-circle box positively invariant, at the edge positions ``edges``
+    (all by default)."""
+    return 0.5 * net.n_oscillators * _edge_frequency_mismatch(net, edges)
 
 
 def uniform_critical_gain(net: OscillatorNetwork) -> float:
@@ -133,9 +126,14 @@ def onset_lower_bounds(net: OscillatorNetwork) -> np.ndarray:
     + (1/N) sum_{j != i} |(B^T B)_{ij}| Ktilde_j for Ktilde_i, clipped at 0.
     """
     n = net.n_oscillators
+    mismatch = _edge_frequency_mismatch(net)
     neighbor = _neighbor_sum(net, net.coupling_gains)
     with np.errstate(over="ignore"):  # a mismatch past the float range: inf
-        return np.maximum(0.0, 0.5 * (n * _edge_frequency_mismatch(net) - neighbor))
+        onset = 0.5 * (n * mismatch - neighbor)
+        # where n * mismatch overflowed, an order that overflows only with the bound
+        big = onset == np.inf
+        onset[big] = n * (0.5 * mismatch[big] - 0.5 * neighbor[big] / n)
+    return np.maximum(0.0, onset)
 
 
 @dataclass(frozen=True)
@@ -211,11 +209,12 @@ def solve_equilibrium(
     Newton runs on the node field f = omega - B K sin(B^T theta), whose edge
     residual B^T f has max norm ptp(f). Its Jacobian -L(X) is singular along
     the ones vector (the common rotation), so each step is taken on the
-    complement: with V the basis of ``_restricted_laplacian`` and
+    complement: with V the basis ``_complement_basis`` and
     V^T L(X) V = Q diag(lambda) Q^T, theta += V Q diag(1/lambda) Q^T V^T f.
-    The same eigenvalues decide rank. Raises SingularJacobianError when
-    L(X) drops rank on the complement (a cos(x_i) = 0 crossing, or a
-    disconnected positive-gain graph, which the message then names) and
+    It steps where every |lambda| exceeds RANK_TOL times the largest or, in
+    the box on a connected positive-gain graph, lambda_min > 0; else it
+    raises SingularJacobianError naming weak coupling (that case), a
+    cos(x_i) = 0 crossing or a disconnected positive-gain graph; and
     NoEquilibriumError when the residual is not finite or does not reach
     ``tol`` within ``NEWTON_MAX_ITER`` iterations, which typically means
     the gains are below critical.
@@ -244,15 +243,21 @@ def solve_equilibrium(
                 raise NoEquilibriumError(f"Newton residual is not finite ({residual:g})")
             if residual < tol:
                 return x
-            v, lap = _restricted_laplacian(net, net._k_diag * np.cos(x))
-            lam, q = np.linalg.eigh(lap)
-            if np.abs(lam).max() < 1e-12 * scale or not _full_rank(lam):
-                cause = (
-                    "equilibrium near a cos(x_i) = 0 crossing"
-                    if is_connected(net)
-                    else "the positive-gain graph is disconnected"
-                )
-                raise SingularJacobianError(f"Jacobian rank-deficient at iterate; {cause}")
+            v = _complement_basis(n)
+            lam, q = np.linalg.eigh(v.T @ _laplacian(net, net._k_diag * np.cos(x)) @ v)
+            mag = np.abs(lam)
+            if mag.max() < 1e-12 * scale or not np.all(mag > RANK_TOL * mag.max()):
+                # in the box on a connected graph L(X) is nonsingular there
+                weak = np.all(np.abs(x) < np.pi / 2) and is_connected(net)
+                if not (weak and lam[0] > 0.0):
+                    cause = (
+                        f"weak coupling: smallest eigenvalue {lam[0] / lam[-1]:.3g} of the largest"
+                        if weak
+                        else "equilibrium near a cos(x_i) = 0 crossing"
+                        if is_connected(net)
+                        else "the positive-gain graph is disconnected"
+                    )
+                    raise SingularJacobianError(f"Jacobian rank-deficient at iterate; {cause}")
             theta += v @ (q @ ((q.T @ (v.T @ f)) / lam))
 
     raise NoEquilibriumError(
@@ -262,7 +267,11 @@ def solve_equilibrium(
 
 
 def linearize(net: OscillatorNetwork, x_star) -> np.ndarray:
-    """Block matrix [[0, I], [0, G(X*)]] of the edge-space linearization."""
+    """Block matrix [[0, I], [0, G(X*)]] of the edge-space linearization.
+
+    Dense 2e x 2e: 784 MB at N = 100 and 12.7 GB at N = 200. No library
+    path forms it; ``classify_stability`` reads its spectrum off L(X*).
+    """
     x_star = _edge_vector(net, x_star, "x_star")
     e = net.n_edges
     a = np.zeros((2 * e, 2 * e))
@@ -272,37 +281,38 @@ def linearize(net: OscillatorNetwork, x_star) -> np.ndarray:
 
 
 def classify_stability(net: OscillatorNetwork, x_star) -> StabilityReport:
-    """Classify the equilibrium from the linearization spectrum.
+    """Classify the equilibrium by the positive-gain graph inside the box,
+    by the linearization spectrum outside it.
 
     The spectrum of A = [[0, I], [0, G(X*)]] (``eigenvalues``) is
     2e - (N-1) exact zeros plus the N-1 real eigenvalues of -L(X*) on the
-    complement of the ones vector (``g_restricted_eigenvalues``), and the
-    verdict reads those N-1 alone. ``ZERO_TOL`` is relative to
-    |A|_2 = sqrt(1 + N lambda_max(L((k cos X*)^2))), taken with the weights
-    scaled by their largest magnitude so that huge gains cannot overflow.
+    complement of the ones vector (``g_restricted_eigenvalues``). ``ZERO_TOL``
+    is relative to |A|_2 = sqrt(1 + N lambda_max(L((k cos X*)^2))), taken
+    with the weights scaled by their largest magnitude so that huge gains
+    cannot overflow; ``n_zero`` counts the eigenvalues below it.
 
-    unstable: a restricted eigenvalue above the tolerance.
-    semistable-candidate: X* inside the open half-circle box and every
-    restricted eigenvalue below minus the tolerance (so the negligible
-    eigenvalues are the 2e - (N-1) structural zeros). Else indeterminate.
+    semistable-candidate: X* inside the open half-circle box, where L(X*) is
+    positive semidefinite, and the positive-gain graph connected, so its
+    kernel is the ones vector (n_zero may exceed 2e - (N-1) on a weak link).
+    unstable: X* outside the box and a restricted eigenvalue above the
+    tolerance. Else indeterminate.
     """
     x_star = _edge_vector(net, x_star, "x_star")
     n, e = net.n_oscillators, net.n_edges
     w = net._k_diag * np.cos(x_star)
     s = np.abs(w).max()
-    lap = _restricted_laplacian(net, np.stack([w, (w / (s or 1.0)) ** 2]))[1]
-    spec, spec_sq = np.linalg.eigvalsh(lap)
+    v = _complement_basis(n)
+    lap = _laplacian(net, np.stack([w, (w / (s or 1.0)) ** 2]))
+    spec, spec_sq = np.linalg.eigvalsh(v.T @ lap @ v)
     restricted = -spec[::-1]
     eigs = np.sort(np.concatenate([np.zeros(2 * e - (n - 1)), restricted])).astype(complex)
     tol_abs = ZERO_TOL * np.hypot(1.0, s * np.sqrt(n * spec_sq[-1]))
     n_zero = int(np.sum(np.abs(eigs) < tol_abs))
 
-    if np.any(restricted > tol_abs):
-        classification = UNSTABLE
-    elif np.all(np.abs(x_star) < np.pi / 2) and np.all(restricted < -tol_abs):
-        classification = SEMISTABLE_CANDIDATE
+    if np.all(np.abs(x_star) < np.pi / 2):
+        classification = SEMISTABLE_CANDIDATE if is_connected(net) else INDETERMINATE
     else:
-        classification = INDETERMINATE
+        classification = UNSTABLE if np.any(restricted > tol_abs) else INDETERMINATE
 
     return StabilityReport(
         equilibrium_x=x_star,
@@ -317,16 +327,14 @@ def classify_stability(net: OscillatorNetwork, x_star) -> StabilityReport:
 def nontangency_rank_test(net: OscillatorNetwork, x) -> bool:
     """True iff G(X) v = 0 forces v = 0 on the column space of B^T.
 
-    Computed as a numerical rank test of L(X) on the complement of the ones
-    vector, whose |eigenvalues| are the singular values of G(X) on the
-    column space; equivalent to connectivity of the positive-gain graph
-    whenever X stays inside the open half-circle box.
+    X must lie strictly inside the half-circle box, where every cos x_i is
+    positive and L(X) a positive-semidefinite Laplacian: this holds exactly
+    when the positive-gain graph is connected, which is what is tested.
     """
     x = _edge_vector(net, x)
     if np.any(np.abs(x) >= np.pi / 2):
         raise ValueError("x must lie strictly inside the half-circle box")
-    _, lap = _restricted_laplacian(net, net._k_diag * np.cos(x))
-    return _full_rank(np.linalg.eigvalsh(lap))
+    return is_connected(net)
 
 
 def in_set_h(state: EdgeState, net: OscillatorNetwork) -> SetHMembership:
@@ -402,13 +410,14 @@ def attracting_set_check(net: OscillatorNetwork, delta: float) -> AttractingSetR
         delta_m = float(gains[active].max() - gains[active].min())
     else:
         delta_m = 0.0
-    lhs = float(
-        np.sum(2.0 * gains[active] - (n - 2) * delta_m) * np.sin(abs(delta)) / n
-    )
-    rhs = float(
-        np.sum(_edge_frequency_mismatch(net))
-        + np.count_nonzero(~active) * (n - 2) * delta_m / n
-    )
+    with np.errstate(over="ignore"):  # a sum past the float range: inf, its bound
+        lhs = float(
+            np.sum(2.0 * gains[active] - (n - 2) * delta_m) * np.sin(abs(delta)) / n
+        )
+        rhs = float(
+            np.sum(_edge_frequency_mismatch(net))
+            + np.count_nonzero(~active) * (n - 2) * delta_m / n
+        )
     side_ok = bool(np.all(gains[active] >= (n - 2) * delta_m / 2.0))
     return AttractingSetReport(
         satisfied=bool(lhs > rhs) and side_ok,
@@ -514,7 +523,11 @@ def invariance_certificate(
         raise ValueError("n_samples must be at least 1")
     n_steps = _validate_grid(horizon, dt)
     rng = np.random.default_rng(seed)
-    bounds_met = bool(np.all(net.coupling_gains >= sufficient_gain_bounds(net) - 1e-12))
+    # one block of edges at a time, so the certificate forms no e-long array
+    blocks = (slice(s, s + _BLOCK_VALUES) for s in range(0, net.n_edges, _BLOCK_VALUES))
+    bounds_met = all(
+        np.all(net.coupling_gains[b] >= sufficient_gain_bounds(net, b) - 1e-12) for b in blocks
+    )
     theta0s = _sample_box_states(net, n_samples, margin, rng)
     stayed = np.ones(n_samples, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):

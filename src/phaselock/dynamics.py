@@ -145,7 +145,11 @@ def _edge_vector(net: OscillatorNetwork, x, name: str = "x") -> np.ndarray:
 
 
 def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:
-    """Edge-space flow matrix G(X) = -B^T B K diag(cos X)."""
+    """Edge-space flow matrix G(X) = -B^T B K diag(cos X).
+
+    Dense e x e: 196 MB at N = 100 and 3.2 GB at N = 200. No library path
+    forms it.
+    """
     x = _edge_vector(net, x)
     # B^T B applied row by row to diag(d) gives diag(d) B^T B = (B^T B diag(d))^T
     return -_edge_diff(net, _node_sums(net, np.diag(net._k_diag * np.cos(x)))).T

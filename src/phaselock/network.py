@@ -178,10 +178,11 @@ def _neighbor_sum(net: OscillatorNetwork, c: np.ndarray) -> np.ndarray:
 def is_connected(net: OscillatorNetwork) -> bool:
     """True iff the graph on edges with positive gain is connected.
 
-    Exact integer union-find; no tolerance enters the topology verdict.
+    Exact integer union-find; no tolerance enters the topology verdict. It
+    stops at the (N-1)-th union, which joins every vertex.
     """
-    n = net.n_oscillators
-    parent = list(range(n))
+    parent = list(range(net.n_oscillators))
+    unions = net.n_oscillators - 1
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -195,5 +196,7 @@ def is_connected(net: OscillatorNetwork) -> bool:
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    root = find(0)
-    return all(find(v) == root for v in range(1, n))
+            unions -= 1
+            if not unions:
+                return True
+    return False

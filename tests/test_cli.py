@@ -629,6 +629,20 @@ def test_frequencies_at_the_float_limit_print_no_warning(tmp_path, capsys, omega
         assert report["equilibrium_error"] == "Newton residual is not finite (inf)"
 
 
+def test_bounds_next_to_the_float_limit_are_finite_where_they_are(tmp_path, capsys):
+    # N * |omega_3 - omega_1| = 3e308 overflows, yet the onset bound
+    # (3e308 - 2) / 2 is finite; the attracting-set sum 2e308 is not
+    path = tmp_path / "big.json"
+    write_network(OscillatorNetwork(3, [0.0, 1.0, 1e308], np.ones(3)), path)
+    assert main(["bounds", "--network", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    bounds = json.loads((tmp_path / "bounds.json").read_text())
+    assert bounds["onset_lower"] == pytest.approx([0.5, 1.5e308, 1.5e308], rel=1e-15)
+    assert bounds["uniform_k0"] == 0.75e308
+    assert bounds["attracting_margin"] == -np.inf
+    assert bounds["attracting_satisfied"] is False
+
+
 @pytest.mark.parametrize(
     "omega, gain",
     [(0.1 * np.arange(6), 1e200), ([0.0, 0.5, 1.0], 1e160)],
