@@ -22,6 +22,7 @@ inequality that blocks exit through each box face.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -400,31 +401,36 @@ def attracting_set_check(net: OscillatorNetwork, delta: float) -> AttractingSetR
     structural zeros included the condition would be vacuous for any sparse
     topology. The side requirement that every nonzero gain exceeds
     (N-2) Delta_m / 2 is reported and folded into the verdict.
+
+    omega and the gains are divided by one power of two s, 1 unless their
+    largest magnitude passes 2^(1000 - 3 bit_length(N)); no sum overflows
+    in that frame, and lhs, rhs and the margin are scaled back by s, so a
+    value past the float range is inf only where the value itself is.
     """
     if not (np.isfinite(delta) and 0.0 < delta < np.pi):
         raise ValueError("delta must lie in (0, pi)")
     n = net.n_oscillators
-    gains = net.coupling_gains
-    active = gains > 0.0
+    omega, gains = net.natural_frequencies, net.coupling_gains
+    active = gains > 0.0  # before scaling, which may flush a tiny gain to 0
+    top = max(float(np.abs(omega).max()), float(gains.max()))
+    s = 2.0 ** max(0, math.frexp(top)[1] - (1000 - 3 * n.bit_length()))
+    omega, gains = omega / s, gains / s
     if np.any(active):
         delta_m = float(gains[active].max() - gains[active].min())
     else:
         delta_m = 0.0
-    with np.errstate(over="ignore"):  # a sum past the float range: inf, its bound
-        lhs = float(
-            np.sum(2.0 * gains[active] - (n - 2) * delta_m) * np.sin(abs(delta)) / n
-        )
-        rhs = float(
-            np.sum(_edge_frequency_mismatch(net))
-            + np.count_nonzero(~active) * (n - 2) * delta_m / n
-        )
+    lhs = float(np.sum(2.0 * gains[active] - (n - 2) * delta_m) * np.sin(abs(delta)) / n)
+    rhs = float(
+        np.sum(np.abs(_edge_diff(net, omega)))
+        + np.count_nonzero(~active) * (n - 2) * delta_m / n
+    )
     side_ok = bool(np.all(gains[active] >= (n - 2) * delta_m / 2.0))
     return AttractingSetReport(
         satisfied=bool(lhs > rhs) and side_ok,
-        margin=lhs - rhs,
+        margin=s * (lhs - rhs),
         side_condition_ok=side_ok,
-        lhs=lhs,
-        rhs=rhs,
+        lhs=s * lhs,
+        rhs=s * rhs,
     )
 
 
@@ -513,11 +519,11 @@ def invariance_certificate(
     Each RK4 step is judged as it is taken, by the spread of the unwrapped
     phases (``_stays_in_box``), and only a per-sample verdict is kept, so
     memory is O(N n_samples) whatever the horizon, even as samples escape;
-    the whole batch is judged until a sample first escapes, and only the
-    survivors after that. No trajectory is stored; ``simulate_many``
-    recomputes them from the starts ``_sample_box_states`` draws with
-    ``default_rng(seed)``. Their ``edge_x`` gives the same verdict except
-    where one step moves a difference by more than pi, which it wraps back.
+    every sample is judged at every step, as the whole batch is integrated.
+    No trajectory is stored; ``simulate_many`` recomputes them from the
+    starts ``_sample_box_states`` draws with ``default_rng(seed)``. Their
+    ``edge_x`` gives the same verdict except where one step moves a
+    difference by more than pi, which it wraps back.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -532,10 +538,7 @@ def invariance_certificate(
     stayed = np.ones(n_samples, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
         for _, theta, _ in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
-            if stayed.all():  # verdicts are per column: no gather needed yet
-                stayed = _stays_in_box(theta)
-            else:
-                stayed[stayed] = _stays_in_box(theta[:, stayed])
+            stayed &= _stays_in_box(theta)
 
     n_stayed = int(np.sum(stayed))
     fraction = n_stayed / n_samples

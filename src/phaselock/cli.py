@@ -69,8 +69,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _fields(report, omit=()) -> dict:
+    """Every dataclass field of ``report`` but ``omit``, its arrays as they
+    are (``dataclasses.asdict`` would deep-copy each one)."""
+    names = (f.name for f in dataclasses.fields(report))
+    return {name: getattr(report, name) for name in names if name not in omit}
+
+
 def _bounds_payload(net, delta: float) -> dict:
-    return dataclasses.asdict(analysis.coupling_bounds(net, delta=delta))
+    return _fields(analysis.coupling_bounds(net, delta=delta))
 
 
 def _analysis_payload(net, delta: float, guess) -> dict:
@@ -95,12 +102,6 @@ def _analysis_payload(net, delta: float, guess) -> dict:
     return payload
 
 
-def _invariance_payload(report, omit=()) -> dict:
-    """Every InvarianceReport field but ``omit``."""
-    fields = dataclasses.asdict(report).items()
-    return {"invariance": {name: value for name, value in fields if name not in omit}}
-
-
 def _cmd_analyze(args) -> int:
     net = parse_network(args.network)
     guess = None if args.guess is None else _phases(args.guess)
@@ -110,7 +111,9 @@ def _cmd_analyze(args) -> int:
         certificate = analysis.invariance_certificate(
             net, n_samples=args.samples, horizon=args.t_end, seed=args.seed
         )
-        payload["certificates"] = _invariance_payload(certificate, omit=("horizon", "dt", "margin"))
+        payload["certificates"] = {
+            "invariance": _fields(certificate, omit=("horizon", "dt", "margin"))
+        }
     write_json(_out_dir(args) / "report.json", payload)
     if certificate is not None and not certificate.passed:
         return 2
@@ -133,7 +136,7 @@ def _cmd_invariance(args) -> int:
         margin=args.margin,
         seed=args.seed,
     )
-    payload = {"certificates": _invariance_payload(report)}
+    payload = {"certificates": {"invariance": _fields(report)}}
     write_json(_out_dir(args) / "invariance.json", payload)
     if not report.passed:
         print(

@@ -14,9 +14,9 @@ difference ``_edge_diff`` of the node sums ``_node_sums``, edge products of
 Integration is classical fixed-step RK4, run for every flow (node and
 planar) by one generator that yields each step's state and field on demand
 and raises DivergenceError on a non-finite state; its consumers are loops.
-``simulate_many`` stores the batch and wraps it to (-pi, pi] once, in blocks
-of rows, counting sync windows over blocks of stored steps rather than at
-every step; beside the stored batch it holds only block-sized temporaries.
+``simulate_many`` stores the batch, wraps it to (-pi, pi] once in blocks of
+rows and counts sync windows after its loop, in the loop too only where the
+batch can stop early; beside the store it holds only block-sized temporaries.
 An early-stopping batch's store doubles in place when full and is cut in
 place to the steps taken, so its steps are held once.
 The invariance certificate keeps only a per-sample verdict, read off the
@@ -298,10 +298,11 @@ def simulate_many(
     double in place (``ndarray.resize``) when full and are cut in place to
     the steps taken; it is copied instead where a tracer's ``frame.f_locals``
     holds it too. The trajectories view columns of the one stored batch.
-    The sync-window counters run over blocks of at most one window of
-    stored steps: at step 0, then only at the first step where the open run
-    furthest from a full window could complete, and at the last step, so a
-    run that completed in between is still dated at its own step.
+    The sync windows are counted after the loop; a ``stop_on_sync`` batch
+    also counts in it, over blocks of at most one window of stored steps: at
+    step 0, then only at the first step where the open run furthest from a
+    full window could complete, so a run that completed in between is still
+    dated at its own step.
     Raises DivergenceError naming the step if a state goes non-finite.
     """
     theta0s = np.asarray(theta0s, dtype=float)
@@ -330,18 +331,17 @@ def simulate_many(
                     thetas, dots = np.resize(thetas, grown), np.resize(dots, grown)
             thetas[k] = theta
             dots[k] = td
-            if k != min(check, n_steps):  # counting now could not change the answer
+            if not stop_on_sync or k != check:  # counting now could not stop the batch
                 continue
             _count_sync(dots[counted : k + 1], counted, run, sync_step, window_steps)
             counted = k + 1
             open_ = sync_step < 0
             if k > 0 and not open_.any():
-                if stop_on_sync:
-                    break
-                check = -1  # every run has synchronized: nothing left to count
-            else:  # the batch stops no sooner than its furthest open run can complete
-                check = k + max(1, (window_steps - run[open_]).max(initial=0))
+                break
+            # the batch stops no sooner than its furthest open run can complete
+            check = k + max(1, (window_steps - run[open_]).max(initial=0))
 
+    _count_sync(dots[counted : k + 1], counted, run, sync_step, window_steps)
     if k + 1 < len(thetas):  # stopped early: keep only the steps taken
         try:
             thetas.resize((k + 1,) + thetas.shape[1:])

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import copy
 import inspect
 import json
 import os
@@ -370,6 +371,29 @@ def test_module_entry_point(tmp_path, chain_file):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "sp" / "bounds.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds"],
+        ["analyze", "--certify", "--samples", "5", "--t-end", "1"],
+        ["invariance", "--samples", "5", "--t-end", "1"],
+    ],
+    ids=["bounds", "analyze", "invariance"],
+)
+def test_payloads_hand_the_report_arrays_over_uncopied(pair_file, tmp_path, monkeypatch, argv):
+    # dataclasses.asdict deep-copies every array field of a report
+    run = [*argv, "--network", str(pair_file), "--out"]
+    assert main([*run, str(tmp_path / "copies")]) == 0
+
+    def no_copy(*args, **kwargs):
+        raise AssertionError("a payload deep-copied its report")
+
+    monkeypatch.setattr(copy, "deepcopy", no_copy)
+    assert main([*run, str(tmp_path / "views")]) == 0
+    (name,) = os.listdir(tmp_path / "views")
+    assert (tmp_path / "views" / name).read_bytes() == (tmp_path / "copies" / name).read_bytes()
 
 
 def test_analyze_certify_fills_certificates(pair_file, tmp_path):
