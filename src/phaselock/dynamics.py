@@ -390,8 +390,12 @@ def vector_field_grid(
     b_ = b_.ravel()
 
     if n == 2:
-        # G(x) = -(B^T B) K cos x with B^T B = [[2]]
-        return np.column_stack([a, b_, b_, -2.0 * net._k_diag[0] * np.cos(a) * b_])
+        # G(x) = -(B^T B) K cos x with B^T B = [[2]] and K = gain / 2, so -2K
+        # is finite; a product past the float range is the +-inf it stands
+        # for, never a NaN
+        with np.errstate(over="ignore"):
+            dv = -2.0 * net._k_diag[0] * np.cos(a) * b_
+        return np.column_stack([a, b_, b_, dv])
 
     # edges (1,2), (1,3), (2,3): x3 = theta_2 - theta_3 = x2 - x1
     dx = _edge_field(net, np.column_stack([a, b_, b_ - a]))

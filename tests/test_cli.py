@@ -653,6 +653,19 @@ def test_frequencies_at_the_float_limit_print_no_warning(tmp_path, capsys, omega
         assert report["equilibrium_error"] == "Newton residual is not finite (inf)"
 
 
+def test_pair_portrait_at_the_largest_gain_writes_infinite_cells_quietly(tmp_path, capsys):
+    # -K cos x1 * x2 passes the float range on most cells; pytest turns the
+    # overflow warning into an error, and +-inf is the value past the range
+    path = tmp_path / "pair.json"
+    write_network(OscillatorNetwork(2, [0.5, 0.0], [1.7e308]), path)
+    argv = ["portrait", "--network", str(path), "--grid", "5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    field = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)
+    assert np.isinf(field[:, 3]).sum() == 12
+    assert not np.isnan(field).any()
+
+
 def test_bounds_next_to_the_float_limit_are_finite_where_they_are(tmp_path, capsys):
     # N * |omega_3 - omega_1| = 3e308 overflows, yet the onset bound
     # (3e308 - 2) / 2 is finite; the attracting-set sum 2e308 is not

@@ -121,7 +121,8 @@ def planar_rk4_oracle(p, x0, t_end, dt):
     st.floats(-5.0, 5.0),
     st.one_of(
         arrays(float, 2, elements=st.floats(-4.0, 4.0)),
-        arrays(float, st.tuples(st.integers(1, 6), st.just(2)), elements=st.floats(-4.0, 4.0)),
+        # batches on both sides of the float path's limit of 16 states
+        arrays(float, st.tuples(st.integers(1, 40), st.just(2)), elements=st.floats(-4.0, 4.0)),
     ),
     st.floats(0.05, 3.0),
     st.sampled_from([0.01, 0.02, 0.05]),
@@ -151,10 +152,26 @@ def test_simulate_planar_rejects_non_finite_inputs(x0, t_end, dt):
 
 
 def test_stiff_planar_run_raises_divergence():
+    # (0.1, 1) leaves the float range at the end of a step; in a stage of
+    # (0, 1) the phase itself reaches inf, where math.cos raises. Each must
+    # name the same step alone and in batches on both sides of the float
+    # path's limit of 16 states (17 states step on the array path).
     p = PlanarParams(k=1e6, delta_omega=0.0)
-    with warnings.catch_warnings(), pytest.raises(DivergenceError):
-        warnings.simplefilter("error")  # the error is the only signal
-        simulate_planar(p, np.array([0.1, 1.0]), 1.0, 0.01)
+    for start in ((0.1, 1.0), (0.0, 1.0)):
+        raised = []
+        for x0 in (np.array(start), *(np.tile(start, (m, 1)) for m in (1, 16, 17))):
+            with warnings.catch_warnings(), pytest.raises(DivergenceError) as exc:
+                warnings.simplefilter("error")  # the error is the only signal
+                simulate_planar(p, x0, 1.0, 0.01)
+            raised.append((exc.value.step, exc.value.time, str(exc.value)))
+        assert raised == [raised[-1]] * 4
+
+
+def test_small_batch_stores_its_trajectory_without_a_second_copy(traced_peak):
+    starts = np.random.default_rng(3).uniform(-1.0, 1.0, (8, 2))
+    (_, states), peak = traced_peak(simulate_planar, P1, starts, 10.0, 0.01)
+    assert states.shape == (1001, 8, 2)
+    assert peak < 1.5 * states.nbytes
 
 
 def test_direction_cone_degenerate_at_zero():
