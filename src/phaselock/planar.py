@@ -200,9 +200,9 @@ def phase_difference_rate(dtheta, k, delta_omega):
 def simulate_planar(p: PlanarParams, x0, t_end: float, dt: float = 0.01):
     """RK4 trajectory of the planar field from x0, one state per row.
 
-    ``x0`` is (2,) or (m, 2); returns (times, states) with states of shape
-    (T, 2) or (T, m, 2). Raises ValueError for a non-finite x0, dt or t_end
-    and DivergenceError naming the step if a state goes non-finite.
+    ``x0`` holds (x1, x2) on its last axis; returns (times, states), states
+    (T,) + x0.shape. Raises ValueError for another last axis or a non-finite
+    x0, dt or t_end, and DivergenceError naming the step if a state diverges.
     A batch of at most FLOAT_BATCH_STATES states steps as Python floats, a
     larger one on the network RK4 generator with ``planar_field`` (over a
     10 s horizon on a 2-core x86 guest the float loop took 7-10 ms at
@@ -210,9 +210,11 @@ def simulate_planar(p: PlanarParams, x0, t_end: float, dt: float = 0.01):
     Both paths give the same bytes and the same DivergenceError.
     """
     x0 = _finite_state(x0)
+    if x0.shape[-1:] != (2,):
+        raise ValueError(f"x0 must hold (x1, x2) pairs on its last axis; got shape {x0.shape}")
     n_steps = _validate_grid(t_end, dt)
     out = np.empty((n_steps + 1,) + x0.shape)
-    if x0.size <= 2 * FLOAT_BATCH_STATES and x0.shape[-1:] == (2,):
+    if x0.size <= 2 * FLOAT_BATCH_STATES:
         out[0] = x0
         _rk4_floats(p, out.reshape(n_steps + 1, -1), dt)
     else:

@@ -3,6 +3,11 @@
 import tracemalloc
 
 import pytest
+from hypothesis import settings
+
+# a failing property prints the @reproduce_failure blob that replays it
+settings.register_profile("phaselock", print_blob=True)
+settings.load_profile("phaselock")
 
 
 def _traced_peak(fn, *args, **kwargs):

@@ -669,16 +669,26 @@ def _unit_weight_full_rank(net):
 
 def _edge_oracle(net, x, tol_zero=1e-9):
     a = linearize(net, x)
-    e = net.n_edges
+    n, e = net.n_oscillators, net.n_edges
     eigs = np.linalg.eigvals(a)
     tol_abs = tol_zero * np.linalg.norm(a, 2)
-    q, _ = np.linalg.qr(incidence_matrix(net.n_oscillators).T[:, :-1].astype(float))
+    b = incidence_matrix(n).astype(float)
+    q, _ = np.linalg.qr(b.T[:, :-1])
     gq = a[e:, e:] @ q
-    n_zero = int(np.sum(np.abs(eigs) < tol_abs))
+    # A = [[0, I], [0, G]] with G of rank at most N-1 has 2e - (N-1) exact
+    # zeros; eigvals of the defective A spreads them by about sqrt(eps), so
+    # count them from the structure and read the rest of the spectrum off a
+    # symmetric matrix: on the column space of B^T, G acts as
+    # -B diag(k cos X) B^T on the complement of the ones vector, which the
+    # first N-1 edges, (0, j), span.
+    u, _ = np.linalg.qr(b[:, : n - 1])
+    laplacian = (b * (net.coupling_diag * np.cos(x))) @ b.T
+    symmetric = -np.linalg.eigvalsh(u.T @ laplacian @ u)
+    n_zero = 2 * e - (n - 1) + int(np.sum(np.abs(symmetric) < tol_abs))
     full_rank = _unit_weight_full_rank(net)
     if np.all(np.abs(x) < np.pi / 2):
         classification = SEMISTABLE_CANDIDATE if full_rank else INDETERMINATE
-    elif np.any(eigs.real > tol_abs):
+    elif np.any(symmetric > tol_abs):
         classification = UNSTABLE
     else:
         classification = INDETERMINATE

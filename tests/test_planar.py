@@ -151,6 +151,13 @@ def test_simulate_planar_rejects_non_finite_inputs(x0, t_end, dt):
         simulate_planar(P1, x0, t_end, dt)
 
 
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (20, 3), (2, 1), ()])
+def test_simulate_planar_rejects_states_that_are_not_pairs(shape):
+    # (5, 3) holds at most FLOAT_BATCH_STATES * 2 values, (20, 3) more
+    with pytest.raises(ValueError, match="last axis"):
+        simulate_planar(P1, np.zeros(shape), 1.0, 0.1)
+
+
 def test_stiff_planar_run_raises_divergence():
     # (0.1, 1) leaves the float range at the end of a step; in a stage of
     # (0, 1) the phase itself reaches inf, where math.cos raises. Each must

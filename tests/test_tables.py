@@ -179,6 +179,10 @@ def _written(tmp, payload) -> str:
 JSON_SPECIAL = SPECIAL + [
     1e-5, 2.0, -7.0, 1e15 - 0.1, 1.5e15, 9.999999999999999e-5, 1e22,
     1e-310, -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    # the CSV formatter's lower bound and the first value below it; a
+    # negative value that rounds to 10^15; values integral only after rounding
+    1e-8, -1e-8, float(np.nextafter(1e-8, 0.0)), -(1e15 - 0.1),
+    2.9999999999999996, 123456789012345.4,
 ]
 _json_floats = st.one_of(st.sampled_from(JSON_SPECIAL), st.floats())
 _json_scalars = st.one_of(
@@ -246,7 +250,7 @@ def test_random_payloads_match_the_json_oracle(payload):
 
 def test_writing_a_ring500_report_allocates_at_most_2_mb(tmp_path, traced_peak):
     # the arrays of an N = 500 analyze report: three edge-long vectors and
-    # the eigenvalue pairs, 16 MB of JSON
+    # the eigenvalue pairs, 24 MB of JSON
     rng = np.random.default_rng(500)
     e = 500 * 499 // 2
     payload = {
@@ -272,5 +276,6 @@ def test_writing_a_2001_by_200_trajectory_allocates_at_most_1_mb(tmp_path, trace
 
 
 def test_write_json_rejects_non_float_arrays(tmp_path):
-    with pytest.raises(TypeError, match="float arrays"):
-        write_json(tmp_path / "out.json", {"a": np.arange(3)})
+    for array in (np.arange(3), np.arange(0)):
+        with pytest.raises(TypeError, match="float arrays"):
+            write_json(tmp_path / "out.json", {"a": array})
