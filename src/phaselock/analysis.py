@@ -79,13 +79,28 @@ COLSPACE_TOL = 1e-9  # set H: 2-norm distance of X from the column space
 CONSISTENCY_TOL = 1e-9  # set H: max-norm mismatch of V with the identity
 
 
-def _edge_frequency_mismatch(net: OscillatorNetwork, edges=slice(None)) -> np.ndarray:
-    """|B^T omega| at the edge positions ``edges``; a difference beyond the
-    float range is inf, the bound it stands for."""
-    i, j = net._ends
-    omega = net.natural_frequencies
+def _frame(net: OscillatorNetwork) -> float:
+    """The power of two s every gain threshold, the set-H slack and the
+    attracting-set margin divide omega and the gains by: 1 unless their
+    largest magnitude passes 2^(1000 - 3 bit_length(N)). No sum overflows
+    there, and ``_unframe`` scales back exactly: a value is inf only past the
+    float range, and where s = 1 the plain formula. The cost where s > 1: a
+    subnormal omega, gain or result loses bits and may flush to 0."""
+    top = max(float(np.abs(net.natural_frequencies).max()), float(net.coupling_gains.max()))
+    return 2.0 ** max(0, math.frexp(top)[1] - (1000 - 3 * net.n_oscillators.bit_length()))
+
+
+def _unframe(s: float, value):
+    """value, computed in the frame s, scaled back: inf past the float range."""
     with np.errstate(over="ignore"):
-        return np.abs(omega[i[edges]] - omega[j[edges]])
+        return s * value
+
+
+def _edge_frequency_mismatch(net: OscillatorNetwork, s: float, edges=slice(None)) -> np.ndarray:
+    """|B^T omega| / s at the edge positions ``edges``, s from ``_frame``."""
+    i, j = net._ends
+    omega = net.natural_frequencies / s
+    return np.abs(omega[i[edges]] - omega[j[edges]])
 
 
 @functools.lru_cache(maxsize=1)
@@ -106,17 +121,17 @@ def sufficient_gain_bounds(net: OscillatorNetwork, edges=slice(None)) -> np.ndar
     """Per-edge gain thresholds (N/2) |omega_i - omega_j| that make the
     half-circle box positively invariant, at the edge positions ``edges``
     (all by default)."""
-    return 0.5 * net.n_oscillators * _edge_frequency_mismatch(net, edges)
+    s = _frame(net)
+    return _unframe(s, 0.5 * net.n_oscillators * _edge_frequency_mismatch(net, s, edges))
 
 
 def uniform_critical_gain(net: OscillatorNetwork) -> float:
     """K0 = N max|omega_i - omega_j| / (2(N-1)), a necessary condition on a
     uniform gain for a phase-locked state (Jadbabaie, Motee & Barahona,
     ACC 2004; Chopra & Spong, IEEE TAC 2009), not the critical gain."""
-    n = net.n_oscillators
-    top = float(np.max(_edge_frequency_mismatch(net)))
-    k0 = n * top / (2.0 * (n - 1))  # a Python float overflows to inf silently
-    return top * (n / (2.0 * (n - 1))) if k0 == np.inf else k0
+    n, s = net.n_oscillators, _frame(net)
+    top = float(np.max(_edge_frequency_mismatch(net, s)))
+    return _unframe(s, n * top / (2.0 * (n - 1)))
 
 
 def onset_lower_bounds(net: OscillatorNetwork) -> np.ndarray:
@@ -126,15 +141,9 @@ def onset_lower_bounds(net: OscillatorNetwork) -> np.ndarray:
     Rearranges |omega_i - omega_j| < (2/N) Ktilde_i
     + (1/N) sum_{j != i} |(B^T B)_{ij}| Ktilde_j for Ktilde_i, clipped at 0.
     """
-    n = net.n_oscillators
-    mismatch = _edge_frequency_mismatch(net)
-    neighbor = _neighbor_sum(net, net.coupling_gains)
-    with np.errstate(over="ignore"):  # a mismatch past the float range: inf
-        onset = 0.5 * (n * mismatch - neighbor)
-        # where n * mismatch overflowed, an order that overflows only with the bound
-        big = onset == np.inf
-        onset[big] = n * (0.5 * mismatch[big] - 0.5 * neighbor[big] / n)
-    return np.maximum(0.0, onset)
+    n, s = net.n_oscillators, _frame(net)
+    excess = n * _edge_frequency_mismatch(net, s) - _neighbor_sum(net, net.coupling_gains / s)
+    return _unframe(s, np.maximum(0.0, 0.5 * excess))
 
 
 @dataclass(frozen=True)
@@ -356,9 +365,10 @@ def in_set_h(state: EdgeState, net: OscillatorNetwork) -> SetHMembership:
     in_colspace = bool(np.linalg.norm(residual) <= COLSPACE_TOL)
     v_consistent = bool(np.max(np.abs(v - _edge_field(net, x))) <= CONSISTENCY_TOL)
     # per-edge slack RHS - LHS of the face-blocking gain inequality
-    n, gains = net.n_oscillators, net.coupling_gains
+    n, s = net.n_oscillators, _frame(net)
+    gains = net.coupling_gains / s
     rhs = (2.0 / n) * gains + _neighbor_sum(net, gains * np.sin(np.abs(x))) / n
-    slack = rhs - _edge_frequency_mismatch(net)
+    slack = _unframe(s, rhs - _edge_frequency_mismatch(net, s))
     return SetHMembership(
         in_set=in_box and in_colspace and v_consistent and bool(np.all(slack >= 0.0)),
         slack=slack,
@@ -401,36 +411,23 @@ def attracting_set_check(net: OscillatorNetwork, delta: float) -> AttractingSetR
     structural zeros included the condition would be vacuous for any sparse
     topology. The side requirement that every nonzero gain exceeds
     (N-2) Delta_m / 2 is reported and folded into the verdict.
-
-    omega and the gains are divided by one power of two s, 1 unless their
-    largest magnitude passes 2^(1000 - 3 bit_length(N)); no sum overflows
-    in that frame, and lhs, rhs and the margin are scaled back by s, so a
-    value past the float range is inf only where the value itself is.
     """
     if not (np.isfinite(delta) and 0.0 < delta < np.pi):
         raise ValueError("delta must lie in (0, pi)")
-    n = net.n_oscillators
-    omega, gains = net.natural_frequencies, net.coupling_gains
-    active = gains > 0.0  # before scaling, which may flush a tiny gain to 0
-    top = max(float(np.abs(omega).max()), float(gains.max()))
-    s = 2.0 ** max(0, math.frexp(top)[1] - (1000 - 3 * n.bit_length()))
-    omega, gains = omega / s, gains / s
-    if np.any(active):
-        delta_m = float(gains[active].max() - gains[active].min())
-    else:
-        delta_m = 0.0
+    n, s = net.n_oscillators, _frame(net)
+    active = net.coupling_gains > 0.0  # before scaling, which may flush a tiny gain to 0
+    gains = net.coupling_gains / s
+    delta_m = float(np.ptp(gains[active])) if np.any(active) else 0.0
     lhs = float(np.sum(2.0 * gains[active] - (n - 2) * delta_m) * np.sin(abs(delta)) / n)
-    rhs = float(
-        np.sum(np.abs(_edge_diff(net, omega)))
-        + np.count_nonzero(~active) * (n - 2) * delta_m / n
-    )
+    mismatch = float(np.sum(_edge_frequency_mismatch(net, s)))
+    rhs = mismatch + np.count_nonzero(~active) * (n - 2) * delta_m / n
     side_ok = bool(np.all(gains[active] >= (n - 2) * delta_m / 2.0))
     return AttractingSetReport(
         satisfied=bool(lhs > rhs) and side_ok,
-        margin=s * (lhs - rhs),
+        margin=_unframe(s, lhs - rhs),
         side_condition_ok=side_ok,
-        lhs=s * lhs,
-        rhs=s * rhs,
+        lhs=_unframe(s, lhs),
+        rhs=_unframe(s, rhs),
     )
 
 
@@ -518,12 +515,13 @@ def invariance_certificate(
 
     Each RK4 step is judged as it is taken, by the spread of the unwrapped
     phases (``_stays_in_box``), and only a per-sample verdict is kept, so
-    memory is O(N n_samples) whatever the horizon, even as samples escape;
-    every sample is judged at every step, as the whole batch is integrated.
-    No trajectory is stored; ``simulate_many`` recomputes them from the
-    starts ``_sample_box_states`` draws with ``default_rng(seed)``. Their
-    ``edge_x`` gives the same verdict except where one step moves a
-    difference by more than pi, which it wraps back.
+    memory is O(N n_samples) whatever the horizon, even as samples escape.
+    The whole batch is integrated until no sample stays, which settles the
+    verdict: a state going non-finite after that raises nothing. No
+    trajectory is stored; ``simulate_many`` recomputes them from the starts
+    ``_sample_box_states`` draws with ``default_rng(seed)``. Their ``edge_x``
+    gives the same verdict except where one step moves a difference by more
+    than pi, which it wraps back.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -539,6 +537,8 @@ def invariance_certificate(
     with np.errstate(over="ignore", invalid="ignore"):
         for _, theta, _ in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
             stayed &= _stays_in_box(theta)
+            if not stayed.any():  # no later step can change the verdict
+                break
 
     n_stayed = int(np.sum(stayed))
     fraction = n_stayed / n_samples

@@ -51,7 +51,7 @@ from phaselock.analysis import (
     _sample_box_states,
     onset_lower_bounds,
 )
-from phaselock.dynamics import SYNC_TOL
+from phaselock.dynamics import SYNC_TOL, _node_field, _rk4_steps
 
 CHAIN = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
 
@@ -275,16 +275,18 @@ def test_attracting_set_check_without_positive_gains():
     assert rep.side_condition_ok and not rep.satisfied
 
 
-def _exact_margin(net, delta):
-    """The attracting-set margin in exact rationals (sin delta as rounded)."""
+def _exact_margin(net, delta, sign=-1):
+    """The attracting-set margin in exact rationals (sin delta as rounded);
+    with sign=+1 every term counts by its size, the scale of the rounding
+    error of the margin's float sums."""
     n = net.n_oscillators
     gains = [Fraction(g) for g in net.coupling_gains]
     active = [g for g in gains if g > 0]
-    spread = max(active) - min(active) if active else 0
-    lhs = sum(2 * g - (n - 2) * spread for g in active) * Fraction(np.sin(delta)) / n
+    spread = max(active) - min(active) if active else Fraction(0)
+    lhs = sum(2 * g + sign * (n - 2) * spread for g in active) * Fraction(np.sin(delta)) / n
     omega = [Fraction(w) for w in net.natural_frequencies]
     mismatch = sum(abs(omega[i] - omega[j]) for i, j in edge_pairs(n))
-    return lhs - mismatch - (len(gains) - len(active)) * (n - 2) * spread / n
+    return lhs + sign * (mismatch + (len(gains) - len(active)) * (n - 2) * spread / n)
 
 
 @pytest.mark.parametrize(
@@ -330,6 +332,58 @@ def test_bounds_scale_exactly_with_a_power_of_two(net, k):
     for field in ("per_edge_sufficient", "uniform_k0", "onset_lower", "attracting_margin"):
         assert np.array_equal(np.ldexp(getattr(bounds, field), k), getattr(bounds_scaled, field))
     assert bounds_scaled.attracting_satisfied == bounds.attracting_satisfied
+
+
+# zero, subnormal, tiny, huge and next-to-largest magnitudes, with ordinary values
+_WHOLE_RANGE = st.sampled_from(
+    [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e150, 1e300, -1e300, 1.7e308, -1.7e308, 0.5, -2.0, 3.0]
+) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def whole_range_networks(draw):
+    n = draw(st.integers(2, 6))
+    omega = draw(arrays(float, n, elements=_WHOLE_RANGE))
+    gains = np.abs(draw(arrays(float, n * (n - 1) // 2, elements=_WHOLE_RANGE)))
+    return OscillatorNetwork(n, omega, gains)
+
+
+def _assert_near_exact(got, exact, normal, rel=1e-15, scale=None):
+    """got is the signed inf where the rational ``exact`` passes the float
+    range, and within rel * scale (|exact| by default) of it where |exact|
+    is at least ``normal``."""
+    try:
+        value = float(exact)
+    except OverflowError:
+        assert got == (np.inf if exact > 0 else -np.inf)
+        return
+    if abs(value) >= normal:
+        tol = Fraction(rel) * (abs(exact) if scale is None else scale)
+        assert np.isfinite(got) and abs(Fraction(got) - exact) <= tol, (got, value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(whole_range_networks())
+def test_thresholds_over_the_whole_float_range_are_exact_where_they_can_be(net):
+    n, e = net.n_oscillators, net.n_edges
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bounds = coupling_bounds(net)
+        slack = in_set_h(EdgeState(x=np.zeros(e), v=np.zeros(e)), net).slack
+    for name in ("per_edge_sufficient", "uniform_k0", "onset_lower", "attracting_margin"):
+        assert not np.isnan(getattr(bounds, name)).any(), name
+    assert not np.isnan(slack).any()
+    # a value below the smallest normal double in the frame loses bits there
+    normal = np.finfo(float).tiny * phaselock.analysis._frame(net)
+    omega = [Fraction(w) for w in net.natural_frequencies]
+    mismatch = [abs(omega[i] - omega[j]) for i, j in edge_pairs(n)]
+    for got, m in zip(bounds.per_edge_sufficient, mismatch):
+        _assert_near_exact(got, Fraction(n, 2) * m, normal)
+    _assert_near_exact(bounds.uniform_k0, n * max(mismatch) / (2 * (n - 1)), normal)
+    # lhs - rhs may cancel: the error of its float sums is bounded by the
+    # sizes of its terms, about e + 3 roundings of each
+    rel, scale = (e + 3) * np.finfo(float).eps, _exact_margin(net, 0.5, sign=1)
+    _assert_near_exact(bounds.attracting_margin, _exact_margin(net, 0.5), normal, rel, scale)
 
 
 @pytest.mark.parametrize(
@@ -1023,6 +1077,55 @@ def test_certificate_blow_up_raises_divergence():
     with warnings.catch_warnings(), pytest.raises(DivergenceError):
         warnings.simplefilter("error")  # the error is the only signal
         invariance_certificate(net, n_samples=5, horizon=1.0, dt=0.5, seed=0)
+
+
+def _escape_steps(net, n_samples, horizon, dt, seed):
+    """Full-horizon oracle: per sample, the first step whose phase spread
+    reaches pi/2, or -1 where it never does."""
+    theta0s = _sample_box_states(net, n_samples, 0.1, np.random.default_rng(seed))
+    escaped = np.full(n_samples, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, theta, _ in _rk4_steps(_node_field(net), theta0s, round(horizon / dt), dt):
+            escaped[(escaped < 0) & (np.ptp(theta, axis=0) >= np.pi / 2)] = k
+    return escaped
+
+
+def test_certificate_stops_at_the_step_its_last_sample_escapes(monkeypatch):
+    # below the thresholds every sample escapes, the last one at step k
+    omega = np.linspace(-1.0, 1.0, 3)
+    net = OscillatorNetwork(3, omega, [0.2, 0.0, 0.2])
+    k = _escape_steps(net, 20, 5.0, 0.02, 0).max()
+    assert 1 < k < 250
+    calls = []
+    field = phaselock.dynamics.theta_dot
+
+    def counting(theta, net):
+        calls.append(1)
+        return field(theta, net)
+
+    monkeypatch.setattr(phaselock.dynamics, "theta_dot", counting)
+    report = invariance_certificate(net, n_samples=20, horizon=5.0, dt=0.02, seed=0)
+    assert report.n_stayed == 0 and not report.passed
+    assert len(calls) == 1 + 4 * k
+
+
+@st.composite
+def offset_certificate_cases(draw):
+    """Networks of 2 to 12 oscillators whose mean frequency is offset by up
+    to 20 rad/s, at 0.3 to 1.5 times their sufficient gains."""
+    n = draw(st.integers(2, 12))
+    omega = draw(arrays(float, n, elements=st.floats(-2.0, 2.0))) + draw(st.floats(-20.0, 20.0))
+    bounds = sufficient_gain_bounds(OscillatorNetwork(n, omega, np.ones(n * (n - 1) // 2)))
+    gains = np.where(bounds > 1e-12, draw(st.floats(0.3, 1.5)) * bounds, 0.1)
+    return OscillatorNetwork(n, omega, gains), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(offset_certificate_cases())
+def test_stopped_certificate_counts_what_the_full_horizon_counts(case):
+    net, seed = case
+    report = invariance_certificate(net, n_samples=12, horizon=2.0, dt=0.02, seed=seed)
+    _check_counts(report, int(np.sum(_escape_steps(net, 12, 2.0, 0.02, seed) < 0)))
 
 
 def test_certificate_peak_memory_at_n10_stays_below_8mb(traced_peak):

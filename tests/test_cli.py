@@ -620,7 +620,11 @@ def test_every_json_output_is_the_oracle_fixpoint(tmp_path):
 _DIVERGED = "error: non-finite state at step 1 (t = 0.01 s)\n"
 
 
-@pytest.mark.parametrize("omega", [[1e308, -1e308], [1e308, -1e308, 0.0]], ids=["n2", "n3"])
+@pytest.mark.parametrize(
+    "omega",
+    [[1e308, -1e308], [1e308, -1e308, 0.0], [1.7e308, -1.7e308, 0.0]],
+    ids=["n2", "n3", "n3-1.7e308"],
+)
 @pytest.mark.parametrize(
     "argv",
     [
@@ -678,6 +682,24 @@ def test_bounds_next_to_the_float_limit_are_finite_where_they_are(tmp_path, caps
     assert bounds["uniform_k0"] == 0.75e308
     assert bounds["attracting_margin"] == -np.inf
     assert bounds["attracting_satisfied"] is False
+
+
+@pytest.mark.parametrize(
+    "net",
+    [
+        OscillatorNetwork(3, [0.0, 1.0, 2.0], [1.7e308, 1.0, 1.0]),
+        # gains on edges (1,2), (1,3) and (3,4)
+        OscillatorNetwork(4, np.arange(4.0), [1e308, 1e308, 0.0, 0.0, 0.0, 1.0]),
+    ],
+    ids=["gain-1.7e308", "gains-1e308"],
+)
+def test_bounds_next_to_the_largest_gains_hold_no_nan(tmp_path, capsys, net):
+    # a node strength past the float range made an onset bound inf - inf
+    path = tmp_path / "big.json"
+    write_network(net, path)
+    assert main(["bounds", "--network", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert "NaN" not in (tmp_path / "bounds.json").read_text()
 
 
 @pytest.mark.parametrize(
