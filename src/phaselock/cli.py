@@ -180,9 +180,7 @@ def _cmd_portrait(args) -> int:
         cone_rows = []
         for a in sweep:
             interval = planar.direction_cone_estimate(a, eps, params)
-            cone_rows.append(
-                (a, interval.lo, interval.hi, float(planar.nontangency_planar(a, eps, params)))
-            )
+            cone_rows.append((a, interval.lo, interval.hi, float(not interval.contains(0.0))))
         write_csv(out / "cones.csv", "a,lo_slope,hi_slope,nontangent", cone_rows)
     return 0
 

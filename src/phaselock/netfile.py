@@ -135,7 +135,19 @@ def _network_payload(net: OscillatorNetwork) -> dict:
     }
 
 
+def _json_items(values: list) -> str:
+    """The entries of a list of finite numbers as ``json.dumps(indent=2)``
+    spells them one level in: both write each float as its ``repr``."""
+    return repr(values)[1:-1].replace(", ", ",\n    ")
+
+
 def write_network(net: OscillatorNetwork, path) -> None:
-    """Write a network in the dense coupling form; parsing it back
-    reproduces the network exactly."""
-    Path(path).write_text(json.dumps(_network_payload(net), indent=2) + "\n")
+    """Write a network in the dense coupling form, byte for byte as
+    ``json.dumps(_network_payload(net), indent=2)`` plus a newline, in one
+    C-level pass per array; parsing it back reproduces the network exactly."""
+    payload = _network_payload(net)
+    Path(path).write_text(
+        f'{{\n  "n": {payload["n"]},\n'
+        f'  "omega": [\n    {_json_items(payload["omega"])}\n  ],\n'
+        f'  "coupling": [\n    {_json_items(payload["coupling"])}\n  ]\n}}\n'
+    )

@@ -51,7 +51,7 @@ from phaselock.analysis import (
     _sample_box_states,
     onset_lower_bounds,
 )
-from phaselock.dynamics import SYNC_TOL, _node_field, _rk4_steps
+from phaselock.dynamics import _BLOCK_VALUES, SYNC_TOL, _node_field, _rk4_steps
 
 CHAIN = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
 
@@ -230,6 +230,15 @@ def test_in_set_h_rejections():
     x = np.array([0.2, 0.3, 0.1])  # consistent: x3 = x2 - x1
     bad_v = EdgeState(x=x, v=np.full(3, 0.7))
     assert not in_set_h(bad_v, net).v_consistent
+
+
+def test_in_set_h_reads_equal_infinities_as_consistent():
+    # V = B^T omega holds inf on edge (0, 1), as the identity does at X = 0
+    net = OscillatorNetwork(3, [1.7e308, -1.7e308, 0.0], np.ones(3))
+    v = np.array([np.inf, 1.7e308, -1.7e308])
+    assert in_set_h(EdgeState(x=np.zeros(3), v=v), net).v_consistent
+    v[1] = np.inf
+    assert not in_set_h(EdgeState(x=np.zeros(3), v=v), net).v_consistent
 
 
 def test_attracting_set_check_two_oscillators():
@@ -1172,6 +1181,59 @@ def test_certificate_checks_the_gain_bounds_without_an_edge_array(traced_peak):
         np.all(net.coupling_gains >= sufficient_gain_bounds(net) - 1e-12)
     )
     assert peak < 1e6, f"certificate peak {peak / 1e6:.2f} MB"
+
+
+def test_certificate_takes_one_frame_for_every_block(monkeypatch):
+    frames = []
+
+    def counted(net, frame=phaselock.analysis._frame):
+        frames.append(net)
+        return frame(net)
+
+    monkeypatch.setattr(phaselock.analysis, "_frame", counted)
+    n = 100
+    net = OscillatorNetwork(
+        n, np.random.default_rng(0).uniform(-0.1, 0.1, n), np.full(n * (n - 1) // 2, float(n))
+    )
+    assert net.n_edges > 2 * _BLOCK_VALUES  # three blocks of edges
+    report = invariance_certificate(net, n_samples=4, horizon=0.01, dt=0.01, seed=0)
+    assert report.bounds_met
+    assert len(frames) == 1
+
+
+_TOP = np.finfo(float).max
+
+
+@st.composite
+def blocked_networks(draw):
+    """Networks on N = 2..6, or on N = 65..100 with two or three blocks of
+    edges, whose gains sit at their thresholds shifted by values from the
+    whole float range, so a block may fail alone and the frame may be
+    above 1."""
+    n = draw(st.integers(2, 6) | st.integers(65, 100))
+    e = n * (n - 1) // 2
+    omega = draw(arrays(float, n, elements=_WHOLE_RANGE, fill=_WHOLE_RANGE))
+    shifts = _WHOLE_RANGE | st.sampled_from([-1e-12, -2e-12])
+    shift = draw(arrays(float, e, elements=shifts, fill=st.just(0.0)))
+    bounds = sufficient_gain_bounds(OscillatorNetwork(n, omega, np.zeros(e)))
+    with np.errstate(over="ignore"):
+        gains = np.clip(bounds + shift, 0.0, _TOP)
+    return OscillatorNetwork(n, omega, gains)
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocked_networks())
+@example(OscillatorNetwork(70, np.linspace(-1.0, 1.0, 70), np.full(2415, _TOP)))
+@example(OscillatorNetwork(70, np.linspace(-1.0, 1.0, 70), np.r_[np.full(2414, _TOP), 0.0]))
+def test_blockwise_bounds_met_matches_the_whole_array(net):
+    # no step is taken: at these values a state may overflow, which the
+    # certificate reports by raising DivergenceError
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(phaselock.analysis, "_rk4_steps", lambda *args: iter(()))
+        report = invariance_certificate(net, n_samples=1, horizon=0.01, dt=0.01, seed=0)
+    assert report.bounds_met == bool(
+        np.all(net.coupling_gains >= sufficient_gain_bounds(net) - 1e-12)
+    )
 
 
 # A sync verdict means the frequency differences die out: with every gain

@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from phaselock import NetworkFileError, OscillatorNetwork, parse_network, write_network
 from phaselock.cli import main
+from phaselock.netfile import _network_payload
 
 
 def write_raw(tmp_path, payload, name="net.json"):
@@ -152,7 +153,10 @@ def test_write_then_parse_round_trips(net):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "net.json"
         write_network(net, path)
+        text = path.read_text()
         back = parse_network(path)
+    # the stdlib spelling the writer reproduces
+    assert text == json.dumps(_network_payload(net), indent=2) + "\n"
     assert back == net
     # bit for bit, so the sign of a zero survives too
     assert back.natural_frequencies.tobytes() == net.natural_frequencies.tobytes()
