@@ -40,7 +40,7 @@ from .dynamics import (
     theta_dot,
 )
 from .errors import NoEquilibriumError, SingularJacobianError
-from .network import OscillatorNetwork, is_connected
+from .network import OscillatorNetwork, edge_count, is_connected
 from .network import _edge_diff, _laplacian, _neighbor_sum, _node_sums
 
 __all__ = [
@@ -262,13 +262,14 @@ def solve_equilibrium(
             mag = np.abs(lam)
             if mag.max() < 1e-12 * scale or not np.all(mag > RANK_TOL * mag.max()):
                 # in the box on a connected graph L(X) is nonsingular there
-                weak = np.all(np.abs(x) < np.pi / 2) and is_connected(net)
+                connected = is_connected(net)
+                weak = connected and np.all(np.abs(x) < np.pi / 2)
                 if not (weak and lam[0] > 0.0):
                     cause = (
                         f"weak coupling: smallest eigenvalue {lam[0] / lam[-1]:.3g} of the largest"
                         if weak
                         else "equilibrium near a cos(x_i) = 0 crossing"
-                        if is_connected(net)
+                        if connected
                         else "the positive-gain graph is disconnected"
                     )
                     raise SingularJacobianError(f"Jacobian rank-deficient at iterate; {cause}")
@@ -321,7 +322,7 @@ def classify_stability(net: OscillatorNetwork, x_star) -> StabilityReport:
     restricted = -spec[::-1]
     eigs = np.sort(np.concatenate([np.zeros(2 * e - (n - 1)), restricted])).astype(complex)
     tol_abs = ZERO_TOL * np.hypot(1.0, s * np.sqrt(n * spec_sq[-1]))
-    n_zero = int(np.sum(np.abs(eigs) < tol_abs))
+    n_zero = 2 * e - (n - 1) + int(np.sum(np.abs(restricted) < tol_abs))
 
     if np.all(np.abs(x_star) < np.pi / 2):
         classification = SEMISTABLE_CANDIDATE if is_connected(net) else INDETERMINATE
@@ -401,10 +402,12 @@ def lyapunov_v2_along(traj: Trajectory, net: OscillatorNetwork):
 def lyapunov_v3(x, n_oscillators: int):
     """Nonsmooth potential sum_i |x_i| - (N-1) pi/2.
 
-    Accepts a single edge vector or a (T, e) stack; returns a float or a
-    (T,) array accordingly.
+    Accepts a single edge vector or a (T, e) stack, e = N(N-1)/2 (else
+    ValueError); returns a float or a (T,) array accordingly.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (edge_count(n_oscillators),):
+        raise ValueError(f"x must hold {edge_count(n_oscillators)} edges on its last axis")
     value = np.sum(np.abs(x), axis=-1) - (n_oscillators - 1) * np.pi / 2.0
     if value.ndim == 0:
         return float(value)

@@ -1,5 +1,13 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "OutOfDomainError",
+    "DivergenceError",
+    "NoEquilibriumError",
+    "SingularJacobianError",
+    "NetworkFileError",
+]
+
 
 class OutOfDomainError(ValueError):
     """Input lies outside the region where the quantity is defined."""

@@ -80,7 +80,7 @@ class ExperimentResult:
     failures: list[str] = field(default_factory=list)
 
 
-def _run_three_chain(out_dir: Path) -> ExperimentResult:
+def _run_three_chain(out_dir: Path) -> tuple[dict, list[str]]:
     net = three_chain_network()
     failures: list[str] = []
 
@@ -124,15 +124,10 @@ def _run_three_chain(out_dir: Path) -> ExperimentResult:
         "classification": report_stab.classification,
         "eigenvalues": np.column_stack([eigs.real, eigs.imag]),
     }
-    return ExperimentResult(
-        experiment_id="three_chain",
-        passed=not failures,
-        report=report,
-        failures=failures,
-    )
+    return report, failures
 
 
-def _run_five_network(out_dir: Path) -> ExperimentResult:
+def _run_five_network(out_dir: Path) -> tuple[dict, list[str]]:
     net = five_network_network()
     failures: list[str] = []
     traj = simulate(net, FIVE_NETWORK_THETA0, 100.0, 0.005, stop_on_sync=True)
@@ -156,12 +151,7 @@ def _run_five_network(out_dir: Path) -> ExperimentResult:
         "worst_deviation": worst,
         "synchronized_at": traj.synchronized_at,
     }
-    return ExperimentResult(
-        experiment_id="five_network",
-        passed=not failures,
-        report=report,
-        failures=failures,
-    )
+    return report, failures
 
 
 _RUNNERS = {"three_chain": _run_three_chain, "five_network": _run_five_network}
@@ -175,4 +165,5 @@ def run_experiment(experiment_id: str, out_dir=".") -> ExperimentResult:
         raise ValueError(f"unknown experiment {experiment_id!r}; choose from {EXPERIMENT_IDS}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[experiment_id](out_dir)
+    report, failures = _RUNNERS[experiment_id](out_dir)
+    return ExperimentResult(experiment_id, not failures, report, failures)

@@ -79,8 +79,11 @@ class SlopeInterval:
 
 
 def planar_field(x, p: PlanarParams) -> np.ndarray:
-    """Field (x2, -K x2 cos x1); accepts a single (2,) state or an (m, 2) batch."""
+    """Field (x2, -K x2 cos x1); accepts a single (2,) state or an (m, 2)
+    batch, and raises ValueError for another last axis."""
     x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (2,):
+        raise ValueError(f"x must hold (x1, x2) pairs on its last axis; got shape {x.shape}")
     out = np.empty_like(x)
     out[..., 0] = x[..., 1]
     out[..., 1] = -p.k * x[..., 1] * np.cos(x[..., 0])

@@ -413,6 +413,8 @@ def test_lyapunov_v3_values():
     assert lyapunov_v3(np.full(3, np.pi / 2), 3) == pytest.approx(np.pi / 2)
     stacked = lyapunov_v3(np.zeros((4, 3)), 3)
     assert stacked.shape == (4,)
+    with pytest.raises(ValueError, match="3 edges"):
+        lyapunov_v3(np.zeros(4), 3)  # N = 3 has 3 edges
 
 
 def test_lyapunov_v3_decreases_outside_half_circle_box():
@@ -554,6 +556,20 @@ def test_solve_equilibrium_names_a_disconnected_graph(net):
     assert not is_connected(net)
     with pytest.raises(SingularJacobianError, match="positive-gain graph is disconnected$"):
         solve_equilibrium(net)
+
+
+def test_singular_newton_iterate_reads_connectivity_once(monkeypatch):
+    calls = []
+
+    def counted(net, connected=phaselock.analysis.is_connected):
+        calls.append(net)
+        return connected(net)
+
+    monkeypatch.setattr(phaselock.analysis, "is_connected", counted)
+    net = OscillatorNetwork(3, [0.0, 0.1, 0.2], [1.0, 0.0, 0.0])
+    with pytest.raises(SingularJacobianError, match="positive-gain graph is disconnected$"):
+        solve_equilibrium(net)
+    assert len(calls) == 1
 
 
 # Inside the box the verdict and the rank test read the positive-gain graph, so a

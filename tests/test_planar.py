@@ -156,6 +156,8 @@ def test_simulate_planar_rejects_states_that_are_not_pairs(shape):
     # (5, 3) holds at most FLOAT_BATCH_STATES * 2 values, (20, 3) more
     with pytest.raises(ValueError, match="last axis"):
         simulate_planar(P1, np.zeros(shape), 1.0, 0.1)
+    with pytest.raises(ValueError, match="last axis"):
+        planar_field(np.ones(shape), P1)
 
 
 def test_stiff_planar_run_raises_divergence():
