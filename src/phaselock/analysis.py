@@ -28,13 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    _BLOCK_VALUES,
     EdgeState,
     Trajectory,
     _edge_field,
     _edge_vector,
     _node_field,
     _rk4_steps,
+    _row_slices,
     _validate_grid,
     g_matrix,
     theta_dot,
@@ -98,9 +98,7 @@ def _unframe(s: float, value):
 
 def _edge_frequency_mismatch(net: OscillatorNetwork, s: float, edges=slice(None)) -> np.ndarray:
     """|B^T omega| / s at the edge positions ``edges``, s from ``_frame``."""
-    i, j = net._ends
-    omega = net.natural_frequencies / s
-    return np.abs(omega[i[edges]] - omega[j[edges]])
+    return np.abs(_edge_diff(net, net.natural_frequencies / s, edges))
 
 
 @functools.lru_cache(maxsize=1)
@@ -113,8 +111,10 @@ def _complement_basis(n: int) -> np.ndarray:
 
 
 def sync_frequency(net: OscillatorNetwork) -> float:
-    """Common limit frequency of a synchronized network: the mean of omega."""
-    return float(np.mean(net.natural_frequencies))
+    """Common limit frequency of a synchronized network: the mean of omega,
+    taken in the frame s from ``_frame``."""
+    s = _frame(net)
+    return _unframe(s, float(np.mean(net.natural_frequencies / s)))
 
 
 def _sufficient_gains(net: OscillatorNetwork, s: float, edges=slice(None)) -> np.ndarray:
@@ -134,7 +134,8 @@ def uniform_critical_gain(net: OscillatorNetwork) -> float:
     uniform gain for a phase-locked state (Jadbabaie, Motee & Barahona,
     ACC 2004; Chopra & Spong, IEEE TAC 2009), not the critical gain."""
     n, s = net.n_oscillators, _frame(net)
-    top = float(np.max(_edge_frequency_mismatch(net, s)))
+    # rounded subtraction is monotone: ptp is the largest edge mismatch, bit for bit
+    top = float(np.ptp(net.natural_frequencies / s))
     return _unframe(s, n * top / (2.0 * (n - 1)))
 
 
@@ -544,9 +545,9 @@ def invariance_certificate(
     rng = np.random.default_rng(seed)
     s = _frame(net)
     # one block of edges at a time, so the certificate forms no e-long array
-    blocks = (slice(b, b + _BLOCK_VALUES) for b in range(0, net.n_edges, _BLOCK_VALUES))
     bounds_met = all(
-        np.all(net.coupling_gains[b] >= _sufficient_gains(net, s, b) - 1e-12) for b in blocks
+        np.all(net.coupling_gains[b] >= _sufficient_gains(net, s, b) - 1e-12)
+        for b in _row_slices(net.n_edges, 1)
     )
     theta0s = _sample_box_states(net, n_samples, margin, rng)
     stayed = np.ones(n_samples, dtype=bool)

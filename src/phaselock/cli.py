@@ -9,9 +9,9 @@ is checked by the library call that uses it.
 CSV and JSON outputs carry 15 significant digits and are byte-identical
 across runs with the same configuration and seed. One payload builder per
 result type hands ``tables.write_json`` the result arrays as they are
-(gain thresholds, equilibrium, eigenvalues as (2e, 2) real/imaginary
-rows), the bundled experiments pass theirs the same way, and the writer
-formats them in bulk. The argument parser is built once per process.
+(gain thresholds, equilibrium, the complex eigenvalues, which it writes as
+[re, im] pairs), the bundled experiments pass theirs the same way, and the
+writer formats them in bulk. The argument parser is built once per process.
 Exit codes: 0 on success or certificate pass, 2 on a failed certificate
 or experiment verification, 1 on errors.
 """
@@ -90,8 +90,7 @@ def _analysis_payload(net, delta: float, guess) -> dict:
         x_star = analysis.solve_equilibrium(net, theta_guess=guess)
         report = analysis.classify_stability(net, x_star)
         payload["equilibrium"] = x_star
-        eigs = report.eigenvalues
-        payload["eigenvalues"] = np.column_stack([eigs.real, eigs.imag])
+        payload["eigenvalues"] = report.eigenvalues
         payload["classification"] = report.classification
         payload["n_zero_eigenvalues"] = report.n_zero
     except (NoEquilibriumError, SingularJacobianError) as exc:
@@ -159,7 +158,13 @@ def _cmd_portrait(args) -> int:
                 f"oscillators, got {gain:g}"
             )
         omega = net.natural_frequencies.tolist()  # Python floats overflow to inf quietly
-        params = planar.PlanarParams(k=gain, delta_omega=omega[0] - omega[1])
+        delta_omega = omega[0] - omega[1]
+        if not np.isfinite(delta_omega):
+            raise ValueError(
+                "portrait needs a finite frequency difference omega_1 - omega_2, "
+                f"got omega = ({omega[0]:g}, {omega[1]:g})"
+            )
+        params = planar.PlanarParams(k=gain, delta_omega=delta_omega)
     grid = vector_field_grid(  # rejects the network or grid before --out is made
         net,
         x1_range=(args.x1_min, args.x1_max),

@@ -14,11 +14,12 @@ difference ``_edge_diff`` of the node sums ``_node_sums``, edge products of
 Integration is classical fixed-step RK4, run for every flow (node and
 planar) by one generator that yields each step's state and field on demand
 and raises DivergenceError on a non-finite state; its consumers are loops.
-``simulate_many`` stores the batch, wraps it to (-pi, pi] once in blocks of
-rows and counts sync windows after its loop, in the loop too only where the
-batch can stop early; beside the store it holds only block-sized temporaries.
-An early-stopping batch's store doubles in place when full and is cut in
-place to the steps taken, so its steps are held once.
+``simulate_many`` keeps phases and fields in one store, which doubles in
+place when full and is cut in place to the steps taken, so every step is
+held once. It wraps the phases to (-pi, pi] once and counts sync windows
+after its loop, in the loop too only where the batch can stop early; beside
+the store it holds only block-sized temporaries. Every blocked pass, here
+and in the writers and the certificate, takes its rows from ``_row_slices``.
 The invariance certificate keeps only a per-sample verdict, read off the
 spread of its unwrapped phases, in O(N m) memory even as samples escape.
 """
@@ -46,23 +47,27 @@ __all__ = [
 
 SYNC_TOL = 1e-6
 SYNC_WINDOW = 1.0  # seconds of sustained small frequency spread
-# Stored values taken at once by every pass over them (the wrap here, the
-# CSV and JSON writers in ``tables``), and stored values (steps x runs)
-# counted at once: each bounds the working arrays beside the stored batch
-# (the wrap's mask, the writers' text, the counter's (rows, m) temporaries)
-# whatever the horizon.
+# Values taken at once by a blocked pass (the wrap here, the CSV and JSON
+# writers in ``tables``, the certificate's gain check), and stored values
+# (steps x runs) counted at once: each bounds the working arrays beside the
+# stored batch (the wrap's mask, the writers' text, the counter's (rows, m)
+# temporaries) whatever the horizon.
 _BLOCK_VALUES = 2048
 _SYNC_VALUES = 512
 
 
+def _row_slices(n_rows: int, row_values: int, budget: int = _BLOCK_VALUES):
+    """Slices tiling range(n_rows) in order, each of at most
+    max(1, budget // row_values) rows of ``row_values`` values."""
+    step = max(1, budget // max(1, row_values))
+    return (slice(start, start + step) for start in range(0, n_rows, step))
+
+
 def _wrap_in_place(a: np.ndarray) -> np.ndarray:
     """Wrap the float array ``a`` to (-pi, pi] in place and return it, one
-    block of whole rows (at most ``_BLOCK_VALUES`` values, or one row) at
-    a time; a 0-d array is one row."""
+    block of ``_row_slices`` at a time; a 0-d array is one row."""
     rows = a if a.ndim else a[None]
-    step = max(1, _BLOCK_VALUES * len(rows) // max(1, rows.size))
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step]
+    for block in map(rows.__getitem__, _row_slices(len(rows), rows[:1].size)):
         np.mod(block, 2.0 * np.pi, out=block)
         np.subtract(block, 2.0 * np.pi, out=block, where=block > np.pi)
     return a
@@ -238,16 +243,15 @@ def _count_sync(dots, start, run, sync_step, window_steps):
     first reaches the window at a step k >= 1 gets k - window_steps + 1.
     The steps are taken in sub-blocks of at most ``_SYNC_VALUES`` values of
     (steps x runs), each carrying the counts on from the one before."""
-    rows = max(1, _SYNC_VALUES // len(run))
-    for first in range(0, len(dots), rows):
-        small = np.ptp(dots[first : first + rows], axis=1) < SYNC_TOL
+    for rows in _row_slices(len(dots), len(run), _SYNC_VALUES):
+        small = np.ptp(dots[rows], axis=1) < SYNC_TOL
         t = np.arange(len(small))[:, None]
         # the last large-spread row so far, or a virtual one run steps before
         runs = t - np.maximum.accumulate(np.where(small, -1 - run, t), axis=0)
         full = runs >= window_steps
-        full[0] &= start + first > 0  # step 0 only seeds the counts
+        full[0] &= start + rows.start > 0  # step 0 only seeds the counts
         new = full.any(axis=0) & (sync_step < 0)
-        sync_step[new] = start + first + full.argmax(axis=0)[new] - window_steps + 1
+        sync_step[new] = start + rows.start + full.argmax(axis=0)[new] - window_steps + 1
         run[:] = runs[-1]
 
 
@@ -294,10 +298,10 @@ def simulate_many(
     ``theta0s`` has shape (N, m), one column per trajectory. All runs share
     the time grid; with ``stop_on_sync`` the batch stops once every run has
     held a sustained sync window (runs keep their individual detection
-    times). An early-stopping batch is stored in rows that start small,
-    double in place (``ndarray.resize``) when full and are cut in place to
-    the steps taken; it is copied instead where a tracer's ``frame.f_locals``
-    holds it too. The trajectories view columns of the one stored batch.
+    times). Phases and fields share one (T, 2, N, m) store, whose steps
+    start at 256 rows, double in place (``ndarray.resize``) when full and
+    are cut in place to the steps taken; it is copied instead where a
+    tracer's ``frame.f_locals`` holds it too. The trajectories view it.
     The sync windows are counted after the loop; a ``stop_on_sync`` batch
     also counts in it, over blocks of at most one window of stored steps: at
     step 0, then only at the first step where the open run furthest from a
@@ -313,27 +317,29 @@ def simulate_many(
     m = theta0s.shape[1]
     window_steps = max(1, int(round(SYNC_WINDOW / dt)))
 
-    rows = min(n_steps + 1, 256) if stop_on_sync else n_steps + 1
-    thetas = np.empty((rows, net.n_oscillators, m))
-    dots = np.empty_like(thetas)
+    # steps on axis 0, so a resize keeps each step's phases and fields together
+    store = np.empty((min(n_steps + 1, 256), 2, net.n_oscillators, m))
     run = np.zeros(m, dtype=int)  # consecutive small-spread steps per run
     sync_step = np.full(m, -1, dtype=int)  # step index where the window began
     counted = check = 0  # steps counted so far; next step to count up to
 
+    def resize_store(rows):  # the closure's cell is the store's only holder
+        nonlocal store
+        shape = (rows,) + store.shape[1:]
+        try:
+            store.resize(shape)
+        except ValueError:  # a tracer's frame.f_locals also holds the store
+            store = np.resize(store[:rows], shape)
+
     with np.errstate(over="ignore", invalid="ignore"):
         for k, theta, td in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
-            if k == len(thetas):  # the early-stopping store is full: double it
-                grown = (min(2 * k, n_steps + 1),) + thetas.shape[1:]
-                try:
-                    thetas.resize(grown)
-                    dots.resize(grown)
-                except ValueError:  # a tracer's frame.f_locals also holds the store
-                    thetas, dots = np.resize(thetas, grown), np.resize(dots, grown)
-            thetas[k] = theta
-            dots[k] = td
+            if k == len(store):  # the store is full: double it
+                resize_store(min(2 * k, n_steps + 1))
+            store[k, 0] = theta
+            store[k, 1] = td
             if not stop_on_sync or k != check:  # counting now could not stop the batch
                 continue
-            _count_sync(dots[counted : k + 1], counted, run, sync_step, window_steps)
+            _count_sync(store[counted : k + 1, 1], counted, run, sync_step, window_steps)
             counted = k + 1
             open_ = sync_step < 0
             if k > 0 and not open_.any():
@@ -341,20 +347,15 @@ def simulate_many(
             # the batch stops no sooner than its furthest open run can complete
             check = k + max(1, (window_steps - run[open_]).max(initial=0))
 
-    _count_sync(dots[counted : k + 1], counted, run, sync_step, window_steps)
-    if k + 1 < len(thetas):  # stopped early: keep only the steps taken
-        try:
-            thetas.resize((k + 1,) + thetas.shape[1:])
-            dots.resize(thetas.shape)
-        except ValueError:
-            thetas, dots = thetas[: k + 1].copy(), dots[: k + 1].copy()
-    thetas = _wrap_in_place(thetas)
+    _count_sync(store[counted : k + 1, 1], counted, run, sync_step, window_steps)
+    resize_store(k + 1)  # stopped early: keep only the steps taken
+    _wrap_in_place(store[:, 0])
     times = np.arange(k + 1) * dt
     return [
         Trajectory(
             times=times,
-            thetas=thetas[:, :, j],
-            theta_dots=dots[:, :, j],
+            thetas=store[:, 0, :, j],
+            theta_dots=store[:, 1, :, j],
             synchronized_at=sync_step[j] * dt if sync_step[j] >= 0 else None,
         )
         for j in range(m)

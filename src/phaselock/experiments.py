@@ -116,13 +116,12 @@ def _run_three_chain(out_dir: Path) -> tuple[dict, list[str]]:
     if found and np.max(np.abs(np.array(found) - wrap_phase(x_star))) > 1e-8:
         failures.append("sweep found an additional in-box fixed point")
 
-    eigs = report_stab.eigenvalues
     report = {
         "network": _network_payload(net),
         "fixed_point": x_star,
         "fixed_point_error": err,
         "classification": report_stab.classification,
-        "eigenvalues": np.column_stack([eigs.real, eigs.imag]),
+        "eigenvalues": report_stab.eigenvalues,
     }
     return report, failures
 

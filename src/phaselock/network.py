@@ -137,10 +137,11 @@ class OscillatorNetwork:
         return hash((self.n_oscillators, *(a.tobytes() for a in arrays)))
 
 
-def _edge_diff(net: OscillatorNetwork, z: np.ndarray) -> np.ndarray:
-    """B^T z: per edge (i, j), z_i - z_j (node index last)."""
+def _edge_diff(net: OscillatorNetwork, z: np.ndarray, edges=slice(None)) -> np.ndarray:
+    """B^T z: per edge (i, j) at the positions ``edges``, z_i - z_j (node
+    index last)."""
     i, j = net._ends
-    return z.take(i, -1) - z.take(j, -1)  # axis passed by position: cheaper call
+    return z.take(i[edges], -1) - z.take(j[edges], -1)  # axis by position: cheaper call
 
 
 def _node_sums(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:

@@ -10,13 +10,12 @@ bytes ``"%.15g" % v`` writes. Each finite |v| in [1e-8, 1e15) is rounded to
 words; exact zeros are written directly. Only subnormal, non-finite and
 larger or smaller values fall back to ``%``, one value at a time.
 
-The CSV and the JSON writer both work one block of rows at a time, at most
-``dynamics._BLOCK_VALUES`` values (the block size of the phase wrap), so
-beside their input they hold only block-sized text and temporaries (about
-0.35 MB):
+The CSV and the JSON writer both take their row blocks from
+``dynamics._row_slices`` (the blocks of the phase wrap), so beside their
+input they hold only block-sized text and temporaries (about 0.35 MB):
 ``write_trajectory`` formats row blocks straight from the trajectory's
 three arrays, and ``write_json`` writes the file as it forms it, each float
-array one block of whole rows at a time.
+or complex array one block of whole rows at a time.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import _BLOCK_VALUES, Trajectory
+from .dynamics import Trajectory, _row_slices
 
 __all__ = ["write_csv", "write_json", "write_trajectory"]
 
@@ -196,11 +195,10 @@ def _write_table(path: Path, header: str, columns) -> None:
     ``columns`` side by side, one block of rows at a time, so no array of
     the whole table is formed."""
     width = sum(c.shape[-1] for c in columns)  # an empty row list is 1-D
-    step = max(1, _BLOCK_VALUES // max(1, width))
     with open(path, "wb") as fh:
         fh.write(header.encode() + b"\n")
-        for start in range(0, len(columns[0]), step):
-            block = np.concatenate([c[start : start + step] for c in columns], axis=1)
+        for rows in _row_slices(len(columns[0]), width):
+            block = np.concatenate([c[rows] for c in columns], axis=1)
             fh.write(_g15_bytes(block) if block.size else b"\n" * len(block))
 
 
@@ -266,19 +264,20 @@ def _array_template(shape: tuple, level: int) -> str:
 
 def _write_array(a: np.ndarray, level: int, write) -> None:
     """Write a float array as the nested indented lists ``json.dumps``
-    writes, one block of whole rows at a time, so the text and tokens of
-    the whole array are never held at once."""
+    writes, a complex one with each value as a [re, im] pair, one block of
+    whole rows at a time, so the text and tokens of the whole array are
+    never held at once."""
+    if a.dtype.kind == "c":  # a float view: each value becomes its last axis
+        a = np.ascontiguousarray(a).view(a.real.dtype).reshape(a.shape + (2,))
     if a.dtype.kind != "f":
-        raise TypeError(f"write_json takes float arrays, not {a.dtype}")
+        raise TypeError(f"write_json takes complex or float arrays, not {a.dtype}")
     if not a.ndim or not len(a):
         write(_array_template(a.shape, level) % _float_tokens(a.ravel()))
         return
     inner = "\n" + "  " * (level + 1)
     row = _array_template(a.shape[1:], level + 1)
-    step = max(1, _BLOCK_VALUES * len(a) // max(1, a.size))
     sep = "[" + inner
-    for start in range(0, len(a), step):
-        block = a[start : start + step]
+    for block in map(a.__getitem__, _row_slices(len(a), a[:1].size)):
         template = ("," + inner).join([row] * len(block))
         write(sep + template % _float_tokens(block.ravel()))
         sep = "," + inner
@@ -315,9 +314,11 @@ def write_json(path: Path, payload) -> None:
 
     Dicts (string keys), lists and tuples nest; float ndarrays are leaves
     written as nested lists, exact zeros as ``0.0``/``-0.0`` and
-    non-finite values as ``NaN``/``Infinity``. The file is written as it
-    is formed, float arrays one block of rows at a time, so memory beyond
-    the payload stays bounded whatever its size.
+    non-finite values as ``NaN``/``Infinity``. A complex ndarray is written
+    as the float array of its [re, im] pairs, read through a view (a
+    contiguous one is not copied). The file is written as it is formed,
+    arrays one block of rows at a time, so memory beyond the payload stays
+    bounded whatever its size.
     """
     with open(path, "w") as fh:
         _emit(payload, 0, fh.write)

@@ -395,6 +395,28 @@ def test_thresholds_over_the_whole_float_range_are_exact_where_they_can_be(net):
     _assert_near_exact(bounds.attracting_margin, _exact_margin(net, 0.5), normal, rel, scale)
 
 
+@st.composite
+def float_range_networks(draw):
+    n = draw(st.integers(2, 8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    omega = draw(arrays(float, n, elements=finite | _WHOLE_RANGE))
+    gains = np.abs(draw(arrays(float, n * (n - 1) // 2, elements=finite | _WHOLE_RANGE)))
+    return OscillatorNetwork(n, omega, gains)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_range_networks() | normal_networks())
+def test_k0_read_off_the_frequency_range_is_the_largest_edge_mismatch(net):
+    # correctly rounded subtraction is monotone, so max - min is the largest
+    # rounded |omega_i - omega_j| bit for bit
+    n, s = net.n_oscillators, phaselock.analysis._frame(net)
+    top = float(np.max(phaselock.analysis._edge_frequency_mismatch(net, s)))
+    want = phaselock.analysis._unframe(s, n * top / (2.0 * (n - 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert uniform_critical_gain(net) == want
+
+
 @pytest.mark.parametrize(
     "call,match",
     [
@@ -479,6 +501,20 @@ def test_sync_frequency_values():
     assert sync_frequency(OscillatorNetwork(5, np.arange(1.0, 6.0), np.ones(10))) == 3.0
     assert sync_frequency(OscillatorNetwork(3, np.full(3, 0.7), np.ones(3))) == pytest.approx(0.7)
     assert sync_frequency(CHAIN) == 2.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(whole_range_networks())
+def test_sync_frequency_is_the_mean_over_the_whole_float_range(net):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sync_frequency(net)
+    n, s = net.n_oscillators, Fraction(phaselock.analysis._frame(net))
+    omega = [Fraction(w) for w in net.natural_frequencies]
+    # n - 1 roundings of the sum and the division, and (absolute, in the
+    # frame) the rounding of each subnormal omega / s and of the result
+    tol = n * Fraction(np.finfo(float).eps) * sum(map(abs, omega)) + (n + 1) * Fraction(5e-324) * s
+    assert np.isfinite(got) and abs(Fraction(got) - sum(omega) / n) <= tol
 
 
 def test_equilibria_inside_box_synchronize_to_mean():

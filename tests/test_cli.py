@@ -648,13 +648,37 @@ def test_frequencies_at_the_float_limit_print_no_warning(tmp_path, capsys, omega
     if argv[0] in ("simulate", "invariance") or "--certify" in argv:
         assert (code, err) == (1, _DIVERGED)
     elif argv[0] == "portrait" and n == 2:
-        assert (code, err) == (1, "error: delta_omega must be finite\n")
+        assert (code, err) == (1, "error: portrait needs a finite frequency difference "
+                               f"omega_1 - omega_2, got omega = ({omega[0]:g}, {omega[1]:g})\n")
     else:
         assert (code, err) == (0, "")
     if argv == ["analyze"]:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["equilibrium"] is None
         assert report["equilibrium_error"] == "Newton residual is not finite (inf)"
+
+
+def test_analyze_takes_the_mean_frequency_within_the_float_range(tmp_path, capsys):
+    # the plain sum of these frequencies overflows; their mean does not
+    omega = [-1.7e308, -1.7e308, -1e300, -1e-300]
+    path = tmp_path / "huge.json"
+    write_network(OscillatorNetwork(4, omega, [2.5, 2.5, 1.7e308, 1e-300, 1e300, 1e300]), path)
+    assert main(["analyze", "--network", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["sync_frequency"] == pytest.approx(-8.500000025e307, rel=1e-15)
+
+
+def test_portrait_names_a_frequency_difference_past_the_float_range(tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    write_network(OscillatorNetwork(2, [1.7e308, -1.7e308], [1e150]), path)
+    out = tmp_path / "out"
+    assert main(["portrait", "--network", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: portrait needs a finite frequency difference omega_1 - omega_2, "
+        "got omega = (1.7e+308, -1.7e+308)\n"
+    )
+    assert not out.exists()
 
 
 def test_pair_portrait_at_the_largest_gain_writes_infinite_cells_quietly(tmp_path, capsys):

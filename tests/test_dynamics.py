@@ -498,6 +498,25 @@ def _streak_fields(rng, window_steps, m, n_rows):
     return dots, pre
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n_rows=st.integers(0, 5000),
+    row_values=st.integers(1, 5000),
+    budget=st.sampled_from([1, 2, 7, 512, 2047, 2048, 2049]) | st.integers(1, 10**5),
+)
+def test_row_slices_tile_the_rows_in_order_within_the_budget(n_rows, row_values, budget):
+    slices = list(phaselock.dynamics._row_slices(n_rows, row_values, budget))
+    blocks = [range(n_rows)[rows] for rows in slices]
+    assert [r for block in blocks for r in block] == list(range(n_rows))
+    assert all(1 <= len(block) <= max(1, budget // row_values) for block in blocks)
+
+
+def test_row_slices_of_empty_rows_take_a_budget_of_rows_at_a_time():
+    # a (5000, 0) array: rows without values still come in bounded blocks
+    slices = list(phaselock.dynamics._row_slices(5000, 0))
+    assert [(s.start, s.stop) for s in slices] == [(0, 2048), (2048, 4096), (4096, 6144)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     window_steps=st.sampled_from([1, 2, 3, 100]),
@@ -700,9 +719,23 @@ def test_early_stop_holds_only_the_steps_taken():
     net = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
     traj = simulate(net, [0.2, 0.3, -0.1], 200.0, 0.01, stop_on_sync=True)
     assert traj.synchronized_at is not None and traj.n_steps < 20000
-    for a in (traj.thetas, traj.theta_dots):
-        held = a if a.base is None else a.base
-        assert held.nbytes == a.nbytes
+    # phases and fields view one store, cut to the steps taken
+    store = traj.thetas.base
+    assert store is traj.theta_dots.base
+    assert store.nbytes == traj.thetas.nbytes + traj.theta_dots.nbytes
+
+
+def test_a_batch_views_one_store_grown_alike_whether_or_not_it_may_stop():
+    # uncoupled oscillators with distinct frequencies never sync, so both
+    # batches run the whole horizon, past the store's first 256 rows
+    net = OscillatorNetwork(3, [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+    theta0s = np.array([[0.1, 0.2], [0.3, -0.4], [0.5, 0.6]])
+    runs = [simulate_many(net, theta0s, 3.0, 0.01, stop_on_sync=stop) for stop in (False, True)]
+    stores = [batch[0].thetas.base for batch in runs]
+    for batch, store in zip(runs, stores):
+        assert all(t.thetas.base is t.theta_dots.base is store for t in batch)
+        assert store.shape == (301, 2, 3, 2) and batch[0].synchronized_at is None
+    assert stores[0].tobytes() == stores[1].tobytes()
 
 
 def test_simulate_many_matches_single_runs():

@@ -275,6 +275,31 @@ def test_writing_a_2001_by_200_trajectory_allocates_at_most_1_mb(tmp_path, trace
     assert peak <= 1.0e6, f"write_trajectory allocated {peak / 1e6:.2f} MB above its input"
 
 
+def _pair_lists(z):
+    """A complex array as the nested lists of its [re, im] pairs."""
+    if z.ndim == 0:
+        return [float(z.real), float(z.imag)]
+    return [_pair_lists(row) for row in z]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from([(), (0,), (1,), (7,), (1025,), (2049,), (3, 2), (700, 3), (0, 4), (4, 0)]),
+    dtype=st.sampled_from([np.complex128, np.complex64]),
+    strided=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_complex_arrays_match_the_json_oracle_of_their_pairs(shape, dtype, strided, seed):
+    rng = np.random.default_rng(seed)
+    z = np.empty(shape, dtype)
+    with np.errstate(over="ignore"):  # complex64 takes the largest values to inf
+        z.real, z.imag = rng.choice(JSON_SPECIAL, (2, *shape))
+    if strided and z.ndim:  # every other value of the last axis
+        z = np.repeat(z, 2, axis=-1)[..., ::2]
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _written(tmp, {"z": z}) == oracle_json({"z": _pair_lists(z)})
+
+
 def test_write_json_rejects_non_float_arrays(tmp_path):
     for array in (np.arange(3), np.arange(0)):
         with pytest.raises(TypeError, match="float arrays"):
