@@ -7,11 +7,12 @@ space of B^T. Linearizing the edge-space flow about (X*, 0) gives the
 block matrix A = [[0, I], [0, G(X*)]], G = -B^T B K diag(cos X*), whose
 spectrum is 2e - (N-1) structural zeros plus the spectrum of -L(X*) on the
 complement of the ones vector, L(X) = B K diag(cos X) B^T being the N x N
-weighted graph Laplacian, read by Newton and classification on that
-complement in one Householder basis (no e x e matrix). Inside the open box
-every cos x_i > 0, so L is positive semidefinite with kernel the ones vector
-iff the positive-gain graph is connected (Fiedler 1973): the in-box verdicts
-read that graph. L and the other edge products come from ``network``.
+weighted graph Laplacian, which Newton and the classification read on that
+complement as V^T L V in one Householder basis V (``_restricted_laplacian``;
+no e x e matrix). Inside the open box (``_in_box``) every cos x_i > 0, so L
+is positive semidefinite with kernel the ones vector iff the positive-gain
+graph is connected (Fiedler 1973): the in-box verdicts read that graph. L
+and the other edge products come from ``network``.
 
 The invariant set H is the open box |x_i| < pi/2 intersected with the
 column space, with frequency differences slaved to the phases through the
@@ -41,7 +42,7 @@ from .dynamics import (
 )
 from .errors import NoEquilibriumError, SingularJacobianError
 from .network import OscillatorNetwork, edge_count, is_connected
-from .network import _edge_diff, _laplacian, _neighbor_sum, _node_sums
+from .network import _btb, _edge_diff, _laplacian, _neighbor_sum
 
 __all__ = [
     "SEMISTABLE_CANDIDATE",
@@ -110,11 +111,27 @@ def _complement_basis(n: int) -> np.ndarray:
     return v
 
 
+def _restricted_laplacian(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
+    """V^T L(w) V: the weighted Laplacian of edge weights w (edge index
+    last) on the complement of the ones vector, V from ``_complement_basis``."""
+    v = _complement_basis(net.n_oscillators)
+    return v.T @ _laplacian(net, w) @ v
+
+
+def _in_box(x: np.ndarray) -> bool:
+    """Every edge phase difference lies in the open half-circle box
+    |x_i| < pi/2, where every cos x_i is positive."""
+    return bool(np.all(np.abs(x) < np.pi / 2))
+
+
 def sync_frequency(net: OscillatorNetwork) -> float:
     """Common limit frequency of a synchronized network: the mean of omega,
-    taken in the frame s from ``_frame``."""
-    s = _frame(net)
-    return _unframe(s, float(np.mean(net.natural_frequencies / s)))
+    its sum correctly rounded (``math.fsum``) in a power-of-two frame s taken
+    from omega alone, so that no partial sum overflows."""
+    omega, n = net.natural_frequencies, net.n_oscillators
+    top = math.frexp(float(np.abs(omega).max()))[1]
+    s = 2.0 ** max(0, top + n.bit_length() - 1022)
+    return _unframe(s, math.fsum(omega / s) / n)
 
 
 def _sufficient_gains(net: OscillatorNetwork, s: float, edges=slice(None)) -> np.ndarray:
@@ -258,13 +275,12 @@ def solve_equilibrium(
                 raise NoEquilibriumError(f"Newton residual is not finite ({residual:g})")
             if residual < tol:
                 return x
-            v = _complement_basis(n)
-            lam, q = np.linalg.eigh(v.T @ _laplacian(net, net._k_diag * np.cos(x)) @ v)
+            lam, q = np.linalg.eigh(_restricted_laplacian(net, net._k_diag * np.cos(x)))
             mag = np.abs(lam)
             if mag.max() < 1e-12 * scale or not np.all(mag > RANK_TOL * mag.max()):
                 # in the box on a connected graph L(X) is nonsingular there
                 connected = is_connected(net)
-                weak = connected and np.all(np.abs(x) < np.pi / 2)
+                weak = connected and _in_box(x)
                 if not (weak and lam[0] > 0.0):
                     cause = (
                         f"weak coupling: smallest eigenvalue {lam[0] / lam[-1]:.3g} of the largest"
@@ -274,6 +290,7 @@ def solve_equilibrium(
                         else "the positive-gain graph is disconnected"
                     )
                     raise SingularJacobianError(f"Jacobian rank-deficient at iterate; {cause}")
+            v = _complement_basis(n)
             theta += v @ (q @ ((q.T @ (v.T @ f)) / lam))
 
     raise NoEquilibriumError(
@@ -317,15 +334,15 @@ def classify_stability(net: OscillatorNetwork, x_star) -> StabilityReport:
     n, e = net.n_oscillators, net.n_edges
     w = net._k_diag * np.cos(x_star)
     s = np.abs(w).max()
-    v = _complement_basis(n)
-    lap = _laplacian(net, np.stack([w, (w / (s or 1.0)) ** 2]))
-    spec, spec_sq = np.linalg.eigvalsh(v.T @ lap @ v)
+    spec, spec_sq = np.linalg.eigvalsh(
+        _restricted_laplacian(net, np.stack([w, (w / (s or 1.0)) ** 2]))
+    )
     restricted = -spec[::-1]
     eigs = np.sort(np.concatenate([np.zeros(2 * e - (n - 1)), restricted])).astype(complex)
     tol_abs = ZERO_TOL * np.hypot(1.0, s * np.sqrt(n * spec_sq[-1]))
     n_zero = 2 * e - (n - 1) + int(np.sum(np.abs(restricted) < tol_abs))
 
-    if np.all(np.abs(x_star) < np.pi / 2):
+    if _in_box(x_star):
         classification = SEMISTABLE_CANDIDATE if is_connected(net) else INDETERMINATE
     else:
         classification = UNSTABLE if np.any(restricted > tol_abs) else INDETERMINATE
@@ -348,7 +365,7 @@ def nontangency_rank_test(net: OscillatorNetwork, x) -> bool:
     when the positive-gain graph is connected, which is what is tested.
     """
     x = _edge_vector(net, x)
-    if np.any(np.abs(x) >= np.pi / 2):
+    if not _in_box(x):
         raise ValueError("x must lie strictly inside the half-circle box")
     return is_connected(net)
 
@@ -366,9 +383,9 @@ def in_set_h(state: EdgeState, net: OscillatorNetwork) -> SetHMembership:
     e = net.n_edges
     if x.shape != (e,):
         raise ValueError(f"state has {x.shape[0]} edges, expected {e}")
-    in_box = bool(np.all(np.abs(x) < np.pi / 2))
+    in_box = _in_box(x)
     # projector onto Col(B^T) is B^T B / N for the complete-graph incidence
-    residual = x - _edge_diff(net, _node_sums(net, x)) / net.n_oscillators
+    residual = x - _btb(net, x) / net.n_oscillators
     in_colspace = bool(np.linalg.norm(residual) <= COLSPACE_TOL)
     field = _edge_field(net, x)
     with np.errstate(invalid="ignore"):  # inf - inf where both hold the same inf
@@ -396,7 +413,7 @@ def lyapunov_v2_along(traj: Trajectory, net: OscillatorNetwork):
     x = traj.edge_x(net)
     v = traj.edge_v(net)
     v2 = 0.5 * np.sum(v * v, axis=1)
-    v2_dot = -net.n_oscillators * ((np.cos(x) * v * v) @ net._k_diag)
+    v2_dot = -net.n_oscillators * np.sum(net._k_diag * np.cos(x) * v * v, axis=1)
     return v2, v2_dot
 
 

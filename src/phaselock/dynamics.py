@@ -7,17 +7,18 @@ K = diag(gains)/N. It is evaluated in O(N^2) as omega + c * (W s) - s * (W c)
 with W = Ktilde/N and s, c = sin, cos(theta - theta_1). Edge coordinates are
 X = B^T theta (phase differences) and V = B^T theta_dot (frequency
 differences); in these coordinates the flow is Xdot = V,
-Vdot = G(X) V with G(X) = -B^T B K diag(cos X). B^T B y is the edge
-difference ``_edge_diff`` of the node sums ``_node_sums``, edge products of
-``network``, so no code here reads the edge order or the dense incidence.
+Vdot = G(X) V with G(X) = -B^T B K diag(cos X). B^T z (``_edge_diff``) and
+B^T B y (``_btb``) are edge products of ``network``, so no code here reads
+the edge order or the dense incidence.
 
 Integration is classical fixed-step RK4, run for every flow (node and
 planar) by one generator that yields each step's state and field on demand
 and raises DivergenceError on a non-finite state; its consumers are loops.
-``simulate_many`` keeps phases and fields in one store, which doubles in
-place when full and is cut in place to the steps taken, so every step is
-held once. It wraps the phases to (-pi, pi] once and counts sync windows
-after its loop, in the loop too only where the batch can stop early; beside
+``simulate_many`` keeps phases and fields in one store, so every step is
+held once: a batch that can stop early grows it by doubling in place and
+cuts it to the steps taken, any other batch allocates every step at once.
+It wraps the phases to (-pi, pi] once and counts sync windows after its
+loop, in the loop too only where the batch can stop early; beside
 the store it holds only block-sized temporaries. Every blocked pass, here
 and in the writers and the certificate, takes its rows from ``_row_slices``.
 The invariance certificate keeps only a per-sample verdict, read off the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import OscillatorNetwork, _edge_diff, _node_sums
+from .network import OscillatorNetwork, _btb, _edge_diff
 
 __all__ = [
     "EdgeState",
@@ -136,7 +137,7 @@ def _edge_field(net: OscillatorNetwork, x: np.ndarray) -> np.ndarray:
     a frequency difference beyond the float range is inf."""
     with np.errstate(over="ignore"):
         b_omega = _edge_diff(net, net.natural_frequencies)
-    return b_omega - _edge_diff(net, _node_sums(net, net._k_diag * np.sin(x)))
+    return b_omega - _btb(net, net._k_diag * np.sin(x))
 
 
 def _edge_vector(net: OscillatorNetwork, x, name: str = "x") -> np.ndarray:
@@ -157,7 +158,7 @@ def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:
     """
     x = _edge_vector(net, x)
     # B^T B applied row by row to diag(d) gives diag(d) B^T B = (B^T B diag(d))^T
-    return -_edge_diff(net, _node_sums(net, np.diag(net._k_diag * np.cos(x)))).T
+    return -_btb(net, np.diag(net._k_diag * np.cos(x))).T
 
 
 @dataclass(frozen=True)
@@ -298,10 +299,12 @@ def simulate_many(
     ``theta0s`` has shape (N, m), one column per trajectory. All runs share
     the time grid; with ``stop_on_sync`` the batch stops once every run has
     held a sustained sync window (runs keep their individual detection
-    times). Phases and fields share one (T, 2, N, m) store, whose steps
-    start at 256 rows, double in place (``ndarray.resize``) when full and
-    are cut in place to the steps taken; it is copied instead where a
-    tracer's ``frame.f_locals`` holds it too. The trajectories view it.
+    times). Phases and fields share one (T, 2, N, m) store, which the
+    trajectories view. Without ``stop_on_sync`` it holds every step from the
+    start, so a horizon too long to store raises MemoryError before the
+    first step. With it, its steps start at 256 rows, double in place
+    (``ndarray.resize``) when full and are cut in place to the steps taken;
+    it is copied instead where a tracer's ``frame.f_locals`` holds it too.
     The sync windows are counted after the loop; a ``stop_on_sync`` batch
     also counts in it, over blocks of at most one window of stored steps: at
     step 0, then only at the first step where the open run furthest from a
@@ -318,7 +321,8 @@ def simulate_many(
     window_steps = max(1, int(round(SYNC_WINDOW / dt)))
 
     # steps on axis 0, so a resize keeps each step's phases and fields together
-    store = np.empty((min(n_steps + 1, 256), 2, net.n_oscillators, m))
+    first = min(n_steps + 1, 256) if stop_on_sync else n_steps + 1
+    store = np.empty((first, 2, net.n_oscillators, m))
     run = np.zeros(m, dtype=int)  # consecutive small-spread steps per run
     sync_step = np.full(m, -1, dtype=int)  # step index where the window began
     counted = check = 0  # steps counted so far; next step to count up to
@@ -391,11 +395,11 @@ def vector_field_grid(
     b_ = b_.ravel()
 
     if n == 2:
-        # G(x) = -(B^T B) K cos x with B^T B = [[2]] and K = gain / 2, so -2K
-        # is finite; a product past the float range is the +-inf it stands
-        # for, never a NaN
+        # G(x) = -(B^T B) K cos x with B^T B = [[2]] and K = gain / 2, so
+        # -2 K cos x is finite; a product past the float range is the +-inf
+        # it stands for, never a NaN
         with np.errstate(over="ignore"):
-            dv = -2.0 * net._k_diag[0] * np.cos(a) * b_
+            dv = -2.0 * (net._k_diag * np.cos(a)) * b_
         return np.column_stack([a, b_, b_, dv])
 
     # edges (1,2), (1,3), (2,3): x3 = theta_2 - theta_3 = x2 - x1

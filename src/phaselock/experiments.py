@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import (
     SEMISTABLE_CANDIDATE,
+    _in_box,
     classify_stability,
     solve_equilibrium,
     sync_frequency,
@@ -108,11 +109,11 @@ def _run_three_chain(out_dir: Path) -> tuple[dict, list[str]]:
     for t1 in np.linspace(-0.6, 0.6, 4):
         for t2 in np.linspace(-0.6, 0.6, 4):
             try:
-                cand = solve_equilibrium(net, theta_guess=np.array([t1, t2, 0.0]))
+                cand = wrap_phase(solve_equilibrium(net, theta_guess=np.array([t1, t2, 0.0])))
             except (NoEquilibriumError, SingularJacobianError):
                 continue
-            if np.all(np.abs(wrap_phase(cand)) < np.pi / 2):
-                found.append(wrap_phase(cand))
+            if _in_box(cand):
+                found.append(cand)
     if found and np.max(np.abs(np.array(found) - wrap_phase(x_star))) > 1e-8:
         failures.append("sweep found an additional in-box fixed point")
 

@@ -7,8 +7,8 @@ interconnection topology. The oriented incidence matrix puts +1 on the
 lower-indexed vertex of each edge, which fixes the sign convention for all
 edge-space quantities downstream.
 
-Only this module reads the edge order: B^T z (``_edge_diff``), B y
-(``_node_sums``), B diag(w) B^T (``_laplacian``) and ``_neighbor_sum`` go
+Only this module reads the edge order: B^T z (``_edge_diff``), B^T B y
+(``_btb``), B diag(w) B^T (``_laplacian``) and ``_neighbor_sum`` go
 through the edge ends, and ``incidence_matrix`` is the dense reference.
 """
 
@@ -144,9 +144,10 @@ def _edge_diff(net: OscillatorNetwork, z: np.ndarray, edges=slice(None)) -> np.n
     return z.take(i[edges], -1) - z.take(j[edges], -1)  # axis by position: cheaper call
 
 
-def _node_sums(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
-    """B y for edge values y (edge index last): two bincounts, offset so
-    one call covers all rows."""
+def _btb(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
+    """B^T B y for edge values y (edge index last): the node sums B y by
+    two bincounts, offset so one call covers all rows, then their edge
+    differences."""
     i, j = net._ends
     n = net.n_oscillators
     rows = y.reshape(-1, y.shape[-1])
@@ -155,7 +156,7 @@ def _node_sums(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
     by = np.bincount((at + i).ravel(), rows.ravel(), size) - np.bincount(
         (at + j).ravel(), rows.ravel(), size
     )
-    return by.reshape(y.shape[:-1] + (n,))
+    return _edge_diff(net, by.reshape(y.shape[:-1] + (n,)))
 
 
 def _laplacian(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
@@ -169,11 +170,19 @@ def _laplacian(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
 
 
 def _neighbor_sum(net: OscillatorNetwork, c: np.ndarray) -> np.ndarray:
-    """Per edge (i, j), the sum of c over the other edges at i or j:
-    s_i + s_j - 2 c_ij with s the node strength of c (edge index last)."""
+    """Per edge (i, j), the sum of c over the other edges at i or j (edge
+    index last): rows i and j of the symmetric node matrix of c, each summed
+    before and after the edge's own entry by two exclusive running sums, so
+    that nothing is subtracted and a large c_ij cannot swamp the others."""
     i, j = net._ends
-    s = np.diagonal(_laplacian(net, c), axis1=-2, axis2=-1)
-    return s[..., i] + s[..., j] - 2.0 * c
+    n = net.n_oscillators
+    m = np.zeros(c.shape[:-1] + (n, n))
+    m[(..., i, j)] = c
+    m += np.swapaxes(m, -1, -2)
+    apart = np.zeros_like(m)
+    np.add.accumulate(m[..., :-1], axis=-1, out=apart[..., 1:])
+    apart[..., :-1] += np.add.accumulate(m[..., :0:-1], axis=-1)[..., ::-1]
+    return apart[..., i, j] + apart[..., j, i]
 
 
 def is_connected(net: OscillatorNetwork) -> bool:

@@ -206,6 +206,14 @@ def test_onset_lower_at_uniform_threshold():
     assert np.all(onset >= 0)
 
 
+def test_onset_lower_is_not_swamped_by_a_large_gain():
+    # edge (1,2): (3 * 1 - (1 + 1)) / 2 = 0.5, whatever its own gain
+    net = OscillatorNetwork(3, [0.0, 1.0, 2.0], [1e16, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(onset_lower_bounds(net), [0.5, 0.0, 0.0])
+
+
 def test_in_set_h_identical_frequencies():
     net = OscillatorNetwork(3, np.full(3, 1.0), np.array([2.0, 1.0, 3.0]))
     result = in_set_h(EdgeState(x=np.zeros(3), v=np.zeros(3)), net)
@@ -510,11 +518,20 @@ def test_sync_frequency_is_the_mean_over_the_whole_float_range(net):
         warnings.simplefilter("error")
         got = sync_frequency(net)
     n, s = net.n_oscillators, Fraction(phaselock.analysis._frame(net))
-    omega = [Fraction(w) for w in net.natural_frequencies]
-    # n - 1 roundings of the sum and the division, and (absolute, in the
-    # frame) the rounding of each subnormal omega / s and of the result
-    tol = n * Fraction(np.finfo(float).eps) * sum(map(abs, omega)) + (n + 1) * Fraction(5e-324) * s
-    assert np.isfinite(got) and abs(Fraction(got) - sum(omega) / n) <= tol
+    mean = sum(map(Fraction, net.natural_frequencies)) / n
+    # one rounding of the sum and one of the division, and (absolute, in a
+    # frame no larger than ``_frame``'s) the rounding of each subnormal
+    # omega / s and of the result
+    tol = Fraction(np.finfo(float).eps) * abs(mean) + (n + 1) * Fraction(5e-324) * s
+    assert np.isfinite(got) and abs(Fraction(got) - mean) <= tol
+
+
+def test_sync_frequency_rounds_the_sum_once():
+    # a plain float sum loses the -2s to 1e300; the mean is -4 / 5
+    net = OscillatorNetwork(5, [-1e300, -2.0, -2.0, 1e300, 1e-300], np.ones(10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sync_frequency(net) == -0.8
 
 
 def test_equilibria_inside_box_synchronize_to_mean():

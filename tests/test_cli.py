@@ -4,6 +4,7 @@ import copy
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,9 @@ from test_dynamics import forbid_incidence
 from test_tables import oracle_json
 
 import phaselock.cli
+import phaselock.dynamics
 import phaselock.errors
-from phaselock import DivergenceError, OscillatorNetwork, parse_network, write_network
+from phaselock import DivergenceError, OscillatorNetwork, parse_network, theta_dot, write_network
 from phaselock.cli import main
 from phaselock.experiments import (
     EXPERIMENT_IDS,
@@ -479,6 +481,31 @@ def test_a_grid_too_long_to_store_is_one_error_line(chain_file, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_a_horizon_too_long_to_store_fails_before_the_first_step(
+    chain_file, tmp_path, capsys, monkeypatch
+):
+    # unmocked: the batch takes its whole store before any step, so numpy
+    # refuses it at once; a field that raises after a few calls ends a run
+    # that integrates instead of refusing
+    calls = []
+
+    def field(theta, net):
+        calls.append(None)
+        if len(calls) > 20:
+            raise AssertionError("the run integrates a horizon it cannot store")
+        return theta_dot(theta, net)
+
+    monkeypatch.setattr(phaselock.dynamics, "theta_dot", field)
+    argv = ["simulate", "--network", str(chain_file), "--t-end", "1e12", "--dt", "0.01",
+            "--theta0=0,0,0", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: Unable to allocate [^\n]+\n", captured.err)
+    assert not calls
     assert not (tmp_path / "trajectory.csv").exists()
 
 

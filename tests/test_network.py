@@ -1,5 +1,7 @@
 """Incidence matrix, edge Laplacian, edge products and connectivity tests."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from phaselock import (
     incidence_matrix,
     is_connected,
 )
-from phaselock.network import _edge_diff, _laplacian, _neighbor_sum, _node_sums
+from phaselock.network import _btb, _edge_diff, _laplacian, _neighbor_sum
 
 
 def brute_force_connected(n, active_pairs):
@@ -109,7 +111,7 @@ def product_cases(draw, size, elements):
     return net, values, incidence_matrix(n).astype(float)
 
 
-# integers times 2^-10 keep every sum of up to 11 of them exact
+# integers times 2^-10 keep every sum of up to 2^22 of them exact
 EXACT = st.integers(-(2**30), 2**30).map(lambda k: k * 2.0**-10)
 REAL = st.floats(-10.0, 10.0)
 
@@ -123,9 +125,9 @@ def test_edge_diff_is_b_transpose_exactly(case):
 
 @settings(max_examples=200, deadline=None)
 @given(product_cases(edge_count, EXACT))
-def test_node_sums_are_b_exactly(case):
+def test_btb_is_b_transpose_b_exactly(case):
     net, y, b = case
-    assert np.array_equal(_node_sums(net, y), y @ b.T)
+    assert np.array_equal(_btb(net, y), y @ (b.T @ b))
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,6 +151,36 @@ def test_neighbor_sum_is_the_off_diagonal_edge_laplacian(case):
     assert got.shape == c.shape
     scale = 1.0 + np.abs(c).sum(axis=-1)[..., None]
     assert np.all(np.abs(got - c @ adjacent) <= 1e-14 * scale)
+
+
+# zero, subnormal, tiny and huge magnitudes with ordinary values; no sum of
+# the up to 2(N - 2) other edges at an edge overflows
+WIDE = st.sampled_from(
+    [0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e16, -1e16, 1e300, -1e300]
+) | st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_cases(edge_count, WIDE | st.floats(-1e300, 1e300)))
+def test_neighbor_sum_rounds_only_the_other_edges(case):
+    # the error is bounded by the other edges alone: an edge's own value,
+    # however large, does not enter the sum and cannot swamp the rest
+    net, c, _ = case
+    n = net.n_oscillators
+    got = _neighbor_sum(net, c)
+    assert got.shape == c.shape
+    eps = Fraction(np.finfo(float).eps)
+    for values, sums in zip(c.reshape(-1, net.n_edges), got.reshape(-1, net.n_edges)):
+        exact = [Fraction(0)] * n  # the sum of c, and of |c|, at each node
+        size = [Fraction(0)] * n
+        for (i, j), value in zip(edge_pairs(n), map(Fraction, values)):
+            for node in (i, j):
+                exact[node] += value
+                size[node] += abs(value)
+        for (i, j), value, total in zip(edge_pairs(n), map(Fraction, values), sums):
+            want = exact[i] + exact[j] - 2 * value
+            others = size[i] + size[j] - 2 * abs(value)
+            assert abs(Fraction(total) - want) <= n * eps * others
 
 
 def test_is_connected_open_chain():

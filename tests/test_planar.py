@@ -49,6 +49,12 @@ def test_params_validation():
         PlanarParams(k=0.0, delta_omega=1.0)
     with pytest.raises(ValueError):
         PlanarParams(k=-1.0, delta_omega=1.0)
+    for k in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="coupling gain k must be positive and finite"):
+            PlanarParams(k=k, delta_omega=1.0)
+    for delta_omega in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="delta_omega must be finite"):
+            PlanarParams(k=1.0, delta_omega=delta_omega)
 
 
 def test_field_vanishes_on_equilibrium_line():
