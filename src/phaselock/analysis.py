@@ -33,7 +33,6 @@ from .dynamics import (
     Trajectory,
     _edge_field,
     _edge_vector,
-    _node_field,
     _rk4_steps,
     _row_slices,
     _validate_grid,
@@ -249,8 +248,11 @@ def solve_equilibrium(
     cos(x_i) = 0 crossing or a disconnected positive-gain graph; and
     NoEquilibriumError when the residual is not finite or does not reach
     ``tol`` within ``NEWTON_MAX_ITER`` iterations, which typically means
-    the gains are below critical.
+    the gains are below critical. A ``tol`` that is not positive and finite
+    raises ValueError before the first step.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     n = net.n_oscillators
     if theta_guess is None:
         theta = np.zeros(n)
@@ -569,7 +571,7 @@ def invariance_certificate(
     theta0s = _sample_box_states(net, n_samples, margin, rng)
     stayed = np.ones(n_samples, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for _, theta, _ in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
+        for _, theta, _ in _rk4_steps(net, theta0s, n_steps, dt):
             stayed &= _stays_in_box(theta)
             if not stayed.any():  # no later step can change the verdict
                 break

@@ -11,9 +11,9 @@ Vdot = G(X) V with G(X) = -B^T B K diag(cos X). B^T z (``_edge_diff``) and
 B^T B y (``_btb``) are edge products of ``network``, so no code here reads
 the edge order or the dense incidence.
 
-Integration is classical fixed-step RK4, run for every flow (node and
-planar) by one generator that yields each step's state and field on demand
-and raises DivergenceError on a non-finite state; its consumers are loops.
+Integration is classical fixed-step RK4 of the node flow, run by one
+generator that yields each step's state and field on demand and raises
+DivergenceError on a non-finite state; its consumers are loops.
 ``simulate_many`` keeps phases and fields in one store, so every step is
 held once: a batch that can stop early grows it by doubling in place and
 cuts it to the steps taken, any other batch allocates every step at once.
@@ -209,31 +209,28 @@ def _validate_grid(t_end, dt) -> int:
     return max(int(round(steps)), 1)
 
 
-def _node_field(net: OscillatorNetwork):
-    """theta -> theta_dot(theta, net), looking ``theta_dot`` up at each call."""
-    return lambda theta: theta_dot(theta, net)
+def _rk4_steps(net: OscillatorNetwork, y, n_steps, dt):
+    """Classical fixed-step RK4 for the node field of ``net``.
 
-
-def _rk4_steps(f, y, n_steps, dt):
-    """Classical fixed-step RK4 for the autonomous field ``f``.
-
-    Yields ``(k, y_k, f(y_k))`` for k = 0, 1, ..., n_steps, each field value
-    being the next step's first stage k1; a step is computed only when the
-    consumer asks for it, so a loop that breaks costs nothing further.
-    Raises DivergenceError naming the step if any state goes non-finite;
-    consumers loop under np.errstate(over="ignore", invalid="ignore") so it
-    is the only signal (set in here, a ``yield`` would leak it out).
+    Yields ``(k, y_k, theta_dot(y_k))`` for k = 0, 1, ..., n_steps, each
+    field value being the next step's first stage k1; a step is computed
+    only when the consumer asks for it, so a loop that breaks costs nothing
+    further. ``theta_dot`` is looked up at each call, so a tracer that
+    replaces it sees every evaluation. Raises DivergenceError naming the
+    step if any state goes non-finite; consumers loop under
+    np.errstate(over="ignore", invalid="ignore") so it is the only signal
+    (set in here, a ``yield`` would leak it out).
     """
-    k1 = f(y)
+    k1 = theta_dot(y, net)
     yield 0, y, k1
     for step in range(1, n_steps + 1):
-        k2 = f(y + 0.5 * dt * k1)
-        k3 = f(y + 0.5 * dt * k2)
-        k4 = f(y + dt * k3)
+        k2 = theta_dot(y + 0.5 * dt * k1, net)
+        k3 = theta_dot(y + 0.5 * dt * k2, net)
+        k4 = theta_dot(y + dt * k3, net)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.isfinite(y).all():
             raise DivergenceError(step=step, time=step * dt)
-        k1 = f(y)
+        k1 = theta_dot(y, net)
         yield step, y, k1
 
 
@@ -336,7 +333,7 @@ def simulate_many(
             store = np.resize(store[:rows], shape)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, theta, td in _rk4_steps(_node_field(net), theta0s, n_steps, dt):
+        for k, theta, td in _rk4_steps(net, theta0s, n_steps, dt):
             if k == len(store):  # the store is full: double it
                 resize_store(min(2 * k, n_steps + 1))
             store[k, 0] = theta

@@ -10,10 +10,8 @@ The trapping region G is bounded above by K(1 - sin x1) and below by
 -K(1 + sin x1) for x1 in (-pi/2, pi/2); trajectories cannot leave it.
 Slope intervals bound the directions the field can take near an
 equilibrium (a, 0), which is what the nontangency test inspects.
-Trajectories step a batch of up to FLOAT_BATCH_STATES states as Python
-floats and a larger one on the network RK4 step generator; both do the
-same arithmetic in the same order, so they agree bit for bit, and both
-raise DivergenceError naming the first non-finite step.
+Trajectories step a batch of any size as Python floats, one RK4 loop
+that raises DivergenceError naming the first non-finite step.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _finite_state, _rk4_steps, _validate_grid
+from .dynamics import _finite_state, _validate_grid
 from .errors import DivergenceError, OutOfDomainError
 
 __all__ = [
@@ -44,9 +42,6 @@ __all__ = [
 
 DEFAULT_CONE_EPS = 0.05
 DRIFT_GRID = 100  # interior samples per drift-region half for the divergence minimum
-# batches of at most this many states step as Python floats, where a numpy
-# step would cost more in call overhead than in arithmetic
-FLOAT_BATCH_STATES = 16
 
 
 @dataclass(frozen=True)
@@ -78,12 +73,18 @@ class SlopeInterval:
         return self.lo <= value <= self.hi
 
 
-def planar_field(x, p: PlanarParams) -> np.ndarray:
-    """Field (x2, -K x2 cos x1); accepts a single (2,) state or an (m, 2)
-    batch, and raises ValueError for another last axis."""
+def _pairs(x) -> np.ndarray:
+    """``x`` as a float array of (x1, x2) pairs on its last axis, or ValueError."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (2,):
         raise ValueError(f"x must hold (x1, x2) pairs on its last axis; got shape {x.shape}")
+    return x
+
+
+def planar_field(x, p: PlanarParams) -> np.ndarray:
+    """Field (x2, -K x2 cos x1); accepts a single (2,) state or an (m, 2)
+    batch, and raises ValueError for another last axis."""
+    x = _pairs(x)
     out = np.empty_like(x)
     out[..., 0] = x[..., 1]
     out[..., 1] = -p.k * x[..., 1] * np.cos(x[..., 0])
@@ -100,13 +101,19 @@ def region_g_bounds(x1: float, p: PlanarParams) -> tuple[float, float]:
     return p.k * (1.0 - math.sin(x1)), -p.k * (1.0 + math.sin(x1))
 
 
-def in_region_g(x, p: PlanarParams) -> bool:
-    """Membership in the trapping region: x1 bounds open, x2 bounds closed."""
-    x1, x2 = float(x[0]), float(x[1])
-    if not -np.pi / 2 < x1 < np.pi / 2:
-        return False
-    upper, lower = region_g_bounds(x1, p)
-    return lower <= x2 <= upper
+def in_region_g(x, p: PlanarParams):
+    """Membership in the trapping region: x1 bounds open, x2 bounds closed.
+
+    A single (2,) state gives a bool and an (m, 2) batch a bool per state;
+    another last axis raises ValueError. The bounds are those of
+    ``region_g_bounds``.
+    """
+    x = _pairs(x)
+    x1, x2 = x[..., 0], x[..., 1]
+    with np.errstate(invalid="ignore"):  # sin(+-inf) is NaN, outside anyway
+        s = np.sin(x1)
+    inside = (np.abs(x1) < np.pi / 2) & (-p.k * (1.0 + s) <= x2) & (x2 <= p.k * (1.0 - s))
+    return inside if inside.ndim else bool(inside)
 
 
 def _validate_cone_inputs(a: float, eps: float):
@@ -206,34 +213,25 @@ def simulate_planar(p: PlanarParams, x0, t_end: float, dt: float = 0.01):
     ``x0`` holds (x1, x2) on its last axis; returns (times, states), states
     (T,) + x0.shape. Raises ValueError for another last axis or a non-finite
     x0, dt or t_end, and DivergenceError naming the step if a state diverges.
-    A batch of at most FLOAT_BATCH_STATES states steps as Python floats, a
-    larger one on the network RK4 generator with ``planar_field`` (over a
-    10 s horizon on a 2-core x86 guest the float loop took 7-10 ms at
-    m = 8 against 43-49 ms, and the two crossed between m = 32 and 64).
-    Both paths give the same bytes and the same DivergenceError.
+    Every batch steps as Python floats (``_rk4_floats``), writing each step
+    into the returned array and holding no second copy of it.
     """
-    x0 = _finite_state(x0)
-    if x0.shape[-1:] != (2,):
-        raise ValueError(f"x0 must hold (x1, x2) pairs on its last axis; got shape {x0.shape}")
+    x0 = _pairs(_finite_state(x0))
     n_steps = _validate_grid(t_end, dt)
     out = np.empty((n_steps + 1,) + x0.shape)
-    if x0.size <= 2 * FLOAT_BATCH_STATES:
-        out[0] = x0
-        _rk4_floats(p, out.reshape(n_steps + 1, -1), dt)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, x, _ in _rk4_steps(lambda x: planar_field(x, p), x0, n_steps, dt):
-                out[k] = x
+    out[0] = x0
+    _rk4_floats(p, out.reshape(n_steps + 1, -1), dt)
     return np.arange(n_steps + 1) * dt, out
 
 
 def _rk4_floats(p: PlanarParams, rows: np.ndarray, dt: float):
     """Fill rows 1, 2, ... of ``rows`` (T, 2m) from row 0, the states
-    (x1, x2) side by side, by the RK4 step of ``_rk4_steps`` on
-    ``planar_field`` spelled out in floats: each stage is
-    ((-K) x2) cos x1 and each sum groups as the array expressions do.
-    Steps run outside and states inside, so the first non-finite state
-    names the step the array path names.
+    (x1, x2) side by side, by classical RK4 on ``planar_field`` spelled out
+    in floats: each stage is ((-K) x2) cos x1, and the step is
+    y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), grouped as the node generator
+    ``dynamics._rk4_steps`` groups it. Steps run outside and states inside,
+    so a DivergenceError names the first step at which any state goes
+    non-finite.
     """
     mk = -float(p.k)
     half, sixth, h = float(0.5 * dt), float(dt / 6.0), float(dt)

@@ -51,7 +51,7 @@ from phaselock.analysis import (
     _sample_box_states,
     onset_lower_bounds,
 )
-from phaselock.dynamics import _BLOCK_VALUES, SYNC_TOL, _node_field, _rk4_steps
+from phaselock.dynamics import _BLOCK_VALUES, SYNC_TOL, _rk4_steps
 
 CHAIN = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
 
@@ -78,6 +78,17 @@ def test_solve_equilibrium_guess_validation():
         solve_equilibrium(CHAIN, theta_guess=np.array([0.0, 3.5, 0.0]))
     with pytest.raises(ValueError):
         solve_equilibrium(CHAIN, theta_guess=np.array([0.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf, -np.inf])
+def test_solve_equilibrium_rejects_a_tolerance_that_is_not_positive_and_finite(
+    tol, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(phaselock.analysis, "theta_dot", lambda *a: calls.append(1))
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        solve_equilibrium(CHAIN, tol=tol)
+    assert not calls  # no Newton step was taken
 
 
 def test_solve_equilibrium_subcritical_gain_fails_loudly():
@@ -1163,7 +1174,7 @@ def _escape_steps(net, n_samples, horizon, dt, seed):
     theta0s = _sample_box_states(net, n_samples, 0.1, np.random.default_rng(seed))
     escaped = np.full(n_samples, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, theta, _ in _rk4_steps(_node_field(net), theta0s, round(horizon / dt), dt):
+        for k, theta, _ in _rk4_steps(net, theta0s, round(horizon / dt), dt):
             escaped[(escaped < 0) & (np.ptp(theta, axis=0) >= np.pi / 2)] = k
     return escaped
 

@@ -1,6 +1,7 @@
 """Two-oscillator planar analysis: trapping region, cones, dichotomy."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -127,8 +128,8 @@ def planar_rk4_oracle(p, x0, t_end, dt):
     st.floats(-5.0, 5.0),
     st.one_of(
         arrays(float, 2, elements=st.floats(-4.0, 4.0)),
-        # batches on both sides of the float path's limit of 16 states
-        arrays(float, st.tuples(st.integers(1, 40), st.just(2)), elements=st.floats(-4.0, 4.0)),
+        # batches of up to 64 states, past where a numpy step would be faster
+        arrays(float, st.tuples(st.integers(1, 64), st.just(2)), elements=st.floats(-4.0, 4.0)),
     ),
     st.floats(0.05, 3.0),
     st.sampled_from([0.01, 0.02, 0.05]),
@@ -157,36 +158,50 @@ def test_simulate_planar_rejects_non_finite_inputs(x0, t_end, dt):
         simulate_planar(P1, x0, t_end, dt)
 
 
-@pytest.mark.parametrize("shape", [(3,), (5, 3), (20, 3), (2, 1), ()])
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (20, 3), (2, 1), (), (1,)])
 def test_simulate_planar_rejects_states_that_are_not_pairs(shape):
-    # (5, 3) holds at most FLOAT_BATCH_STATES * 2 values, (20, 3) more
-    with pytest.raises(ValueError, match="last axis"):
-        simulate_planar(P1, np.zeros(shape), 1.0, 0.1)
-    with pytest.raises(ValueError, match="last axis"):
-        planar_field(np.ones(shape), P1)
+    # batches of triples, a last axis of 1, and shapes too short to index
+    message = f"x must hold (x1, x2) pairs on its last axis; got shape {shape}"
+    for call in (
+        lambda x: simulate_planar(P1, x, 1.0, 0.1),
+        lambda x: planar_field(x, P1),
+        lambda x: in_region_g(x, P1),
+    ):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(np.zeros(shape))
+
+
+def test_region_membership_of_a_batch_is_that_of_each_state():
+    starts = np.random.default_rng(4).uniform(-2.0, 2.0, (200, 2))
+    starts[:3] = [(np.inf, 0.0), (0.0, np.nan), (0.0, P1.k)]
+    inside = in_region_g(starts, P1)
+    assert inside.shape == (200,) and inside.dtype == bool
+    assert inside.tolist() == [in_region_g(x, P1) for x in starts]
+    assert in_region_g(starts[:1], P1).tolist() == [False]
+    assert type(in_region_g((0.0, P1.k), P1)) is bool
 
 
 def test_stiff_planar_run_raises_divergence():
     # (0.1, 1) leaves the float range at the end of a step; in a stage of
     # (0, 1) the phase itself reaches inf, where math.cos raises. Each must
-    # name the same step alone and in batches on both sides of the float
-    # path's limit of 16 states (17 states step on the array path).
+    # name the same step alone and in batches of 1 to 64 states.
     p = PlanarParams(k=1e6, delta_omega=0.0)
     for start in ((0.1, 1.0), (0.0, 1.0)):
         raised = []
-        for x0 in (np.array(start), *(np.tile(start, (m, 1)) for m in (1, 16, 17))):
+        for x0 in (np.array(start), *(np.tile(start, (m, 1)) for m in (1, 16, 17, 64))):
             with warnings.catch_warnings(), pytest.raises(DivergenceError) as exc:
                 warnings.simplefilter("error")  # the error is the only signal
                 simulate_planar(p, x0, 1.0, 0.01)
             raised.append((exc.value.step, exc.value.time, str(exc.value)))
-        assert raised == [raised[-1]] * 4
+        assert raised == [raised[-1]] * 5
 
 
 def test_small_batch_stores_its_trajectory_without_a_second_copy(traced_peak):
-    starts = np.random.default_rng(3).uniform(-1.0, 1.0, (8, 2))
-    (_, states), peak = traced_peak(simulate_planar, P1, starts, 10.0, 0.01)
-    assert states.shape == (1001, 8, 2)
-    assert peak < 1.5 * states.nbytes
+    for m in (8, 64):
+        starts = np.random.default_rng(3).uniform(-1.0, 1.0, (m, 2))
+        (_, states), peak = traced_peak(simulate_planar, P1, starts, 10.0, 0.01)
+        assert states.shape == (1001, m, 2)
+        assert peak < 1.5 * states.nbytes
 
 
 def test_direction_cone_degenerate_at_zero():
