@@ -104,6 +104,8 @@ def theta_dot(theta, net: OscillatorNetwork) -> np.ndarray:
     or a batch of states of shape (N, m); the result has the same shape.
     """
     theta = np.asarray(theta, dtype=float)
+    if not 0 < theta.ndim < 3:
+        raise ValueError(f"theta must have 1 or 2 dimensions, got {theta.ndim}")
     if theta.shape[0] != net.n_oscillators:
         raise ValueError(
             f"theta has leading dimension {theta.shape[0]}, "
@@ -315,7 +317,8 @@ def simulate_many(
     theta0s = _finite_state(theta0s)
     n_steps = _validate_grid(t_end, dt)
     m = theta0s.shape[1]
-    window_steps = max(1, int(round(SYNC_WINDOW / dt)))
+    # a window longer than the run never completes, so capping it keeps every verdict
+    window_steps = max(1, int(round(min(SYNC_WINDOW / dt, n_steps + 2))))
 
     # steps on axis 0, so a resize keeps each step's phases and fields together
     first = min(n_steps + 1, 256) if stop_on_sync else n_steps + 1

@@ -114,10 +114,10 @@ def parse_network(path) -> OscillatorNetwork:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except OSError as exc:
-        raise NetworkFileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise NetworkFileError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    except (OSError, ValueError, RecursionError) as exc:  # bad bytes, long ints, deep nesting
+        raise NetworkFileError(f"{path}: {exc}") from exc
     try:
         return _network_from(raw)
     except NetworkFileError as exc:

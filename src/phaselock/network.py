@@ -8,8 +8,11 @@ lower-indexed vertex of each edge, which fixes the sign convention for all
 edge-space quantities downstream.
 
 Only this module reads the edge order: B^T z (``_edge_diff``), B^T B y
-(``_btb``), B diag(w) B^T (``_laplacian``) and ``_neighbor_sum`` go
-through the edge ends, and ``incidence_matrix`` is the dense reference.
+(``_btb``) and ``_node_matrix`` go through the edge ends, and
+``incidence_matrix`` is the dense reference. ``_node_matrix`` is the one
+scatter of edge values into a symmetric N x N matrix: the coupling matrix,
+B diag(w) B^T (``_laplacian``), ``_neighbor_sum`` and the connectivity
+verdict all read it.
 """
 
 from __future__ import annotations
@@ -109,9 +112,7 @@ class OscillatorNetwork:
         object.__setattr__(self, "coupling_gains", _freeze(gains))
         object.__setattr__(self, "_k_diag", _freeze(gains / n))
         object.__setattr__(self, "_ends", tuple(map(_freeze, np.triu_indices(n, 1))))
-        w = np.zeros((n, n))
-        w[self._ends] = self._k_diag  # row-major upper triangle = edge order
-        object.__setattr__(self, "_w", _freeze(w + w.T))
+        object.__setattr__(self, "_w", _freeze(_node_matrix(self, self._k_diag)))
 
     @property
     def n_edges(self) -> int:
@@ -159,12 +160,20 @@ def _btb(net: OscillatorNetwork, y: np.ndarray) -> np.ndarray:
     return _edge_diff(net, by.reshape(y.shape[:-1] + (n,)))
 
 
+def _node_matrix(net: OscillatorNetwork, c: np.ndarray) -> np.ndarray:
+    """The symmetric node matrix of edge values c (edge index last, batch
+    axes leading): c_e at (i, j) and (j, i) for each edge e = (i, j), zero
+    elsewhere, in c's dtype, so a boolean mask gives the adjacency."""
+    n = net.n_oscillators
+    m = np.zeros(c.shape[:-1] + (n, n), dtype=c.dtype)
+    m[(..., *net._ends)] = c  # row-major upper triangle = edge order
+    return m + np.swapaxes(m, -1, -2)
+
+
 def _laplacian(net: OscillatorNetwork, w: np.ndarray) -> np.ndarray:
     """Weighted Laplacian B diag(w) B^T from edge weights w (edge index last)."""
     n = net.n_oscillators
-    lap = np.zeros(w.shape[:-1] + (n, n))
-    lap[(..., *net._ends)] = -w
-    lap += np.swapaxes(lap, -1, -2)
+    lap = _node_matrix(net, -w)
     lap[..., np.arange(n), np.arange(n)] = -lap.sum(axis=-1)
     return lap
 
@@ -175,10 +184,7 @@ def _neighbor_sum(net: OscillatorNetwork, c: np.ndarray) -> np.ndarray:
     before and after the edge's own entry by two exclusive running sums, so
     that nothing is subtracted and a large c_ij cannot swamp the others."""
     i, j = net._ends
-    n = net.n_oscillators
-    m = np.zeros(c.shape[:-1] + (n, n))
-    m[(..., i, j)] = c
-    m += np.swapaxes(m, -1, -2)
+    m = _node_matrix(net, c)
     apart = np.zeros_like(m)
     np.add.accumulate(m[..., :-1], axis=-1, out=apart[..., 1:])
     apart[..., :-1] += np.add.accumulate(m[..., :0:-1], axis=-1)[..., ::-1]
@@ -188,25 +194,12 @@ def _neighbor_sum(net: OscillatorNetwork, c: np.ndarray) -> np.ndarray:
 def is_connected(net: OscillatorNetwork) -> bool:
     """True iff the graph on edges with positive gain is connected.
 
-    Exact integer union-find; no tolerance enters the topology verdict. It
-    stops at the (N-1)-th union, which joins every vertex.
+    Reachability from node 0 over the boolean node matrix, one frontier at a
+    time; no tolerance enters the topology verdict.
     """
-    parent = list(range(net.n_oscillators))
-    unions = net.n_oscillators - 1
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    on = net.coupling_gains > 0.0
-    i, j = net._ends
-    for a, b in zip(i[on].tolist(), j[on].tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            unions -= 1
-            if not unions:
-                return True
-    return False
+    adjacent = _node_matrix(net, net.coupling_gains > 0.0)
+    seen = frontier = np.arange(net.n_oscillators) == 0
+    while frontier.any():
+        frontier = adjacent[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())

@@ -355,6 +355,35 @@ def test_malformed_network_file_is_an_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"[" * 100_000 + b"]" * 100_000,
+        b"\xff\xfe{}",
+        b'{"n":2,"omega":[' + b"9" * 5000 + b',0],"coupling":[1]}',
+    ],
+    ids=["deep-nesting", "not-utf8", "long-integer"],
+)
+def test_an_unreadable_network_file_is_an_error_naming_the_file(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["bounds", "--network", str(bad), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dt", ["1e-18", "1e-20", "1e-310"])
+def test_simulate_with_a_tiny_step_runs(chain_file, tmp_path, capsys, dt):
+    out = tmp_path / "out"
+    argv = ["simulate", "--network", str(chain_file), "--theta0", "0,0.1,0.2",
+            "--dt", dt, "--t-end", repr(10 * float(dt)), "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert len((out / "trajectory.csv").read_text().splitlines()) == 12  # header + 11 steps
+
+
 def test_module_entry_point(tmp_path, chain_file):
     result = subprocess.run(
         [

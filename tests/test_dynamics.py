@@ -170,6 +170,15 @@ def test_theta_dot_dimension_mismatch():
         theta_dot(np.zeros(4), net)
 
 
+@pytest.mark.parametrize("shape", [(), (3, 3, 2), (3, 1, 1, 1)])
+def test_theta_dot_rejects_a_state_that_is_neither_one_nor_a_batch(shape):
+    # ndarray.dot would contract the second axis of an (N, N, k) batch
+    net = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 1.0])
+    theta = np.linspace(0.0, 1.0, int(np.prod(shape))).reshape(shape)
+    with pytest.raises(ValueError, match=f"theta must have 1 or 2 dimensions, got {len(shape)}"):
+        theta_dot(theta, net)
+
+
 @pytest.mark.parametrize("x_shape,v_shape", [(3, 2), (2, 3), ((2, 2), (2, 2)), ((), ())])
 def test_edge_state_needs_equal_1d_arrays(x_shape, v_shape):
     with pytest.raises(ValueError, match="1-D arrays of equal length"):
@@ -333,6 +342,16 @@ def test_simulate_rejects_bad_inputs(monkeypatch):
     with pytest.raises(ValueError, match=r"m >= 1"):  # an empty batch takes no step
         simulate_many(net, np.zeros((2, 0)), 100.0, 0.01)
     assert not calls
+
+
+@pytest.mark.parametrize("stop_on_sync", [False, True])
+@pytest.mark.parametrize("dt", [1e-18, 1e-20, 1e-310])
+def test_a_sync_window_longer_than_any_int_leaves_a_tiny_step_run_unsynchronized(dt, stop_on_sync):
+    # SYNC_WINDOW / dt steps is beyond int64 at 1e-20 and infinite at 1e-310
+    net = OscillatorNetwork(3, [1.0, 1.0, 1.0], [9.0, 6.0, 1.0])
+    run = simulate(net, [0.0, 0.0, 0.0], 10 * dt, dt, stop_on_sync=stop_on_sync)
+    assert run.n_steps == 10
+    assert run.synchronized_at is None
 
 
 def test_a_step_count_beyond_the_float_range_is_a_value_error():

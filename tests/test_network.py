@@ -211,6 +211,34 @@ def test_is_connected_matches_reachability_oracle(n, rng=None):
         assert is_connected(net) == brute_force_connected(n, active)
 
 
+@st.composite
+def sparse_graphs(draw):
+    """A path through all nodes in shuffled order, the same path with one
+    edge dropped, or a star, each edge with a gain of 1 or the least
+    subnormal (whose coupling matrix entry gain / N underflows to 0)."""
+    n = draw(st.integers(2, 60))
+    order = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(["path", "cut-path", "star"]))
+    if shape == "star":
+        pairs = [(order[0], v) for v in order[1:]]
+    else:
+        pairs = list(zip(order, order[1:]))
+        if shape == "cut-path":
+            del pairs[draw(st.integers(0, n - 2))]
+    pairs = [(min(p), max(p)) for p in pairs]
+    gains = np.zeros(edge_count(n))
+    for i, j in pairs:
+        gains[edge_index(n, i, j)] = draw(st.sampled_from([1.0, 5e-324]))
+    return OscillatorNetwork(n, np.zeros(n), gains), pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_graphs())
+def test_is_connected_matches_reachability_on_long_paths_stars_and_subnormal_gains(graph):
+    net, pairs = graph
+    assert is_connected(net) == brute_force_connected(net.n_oscillators, pairs)
+
+
 def test_network_validation():
     with pytest.raises(ValueError):
         OscillatorNetwork(1, [1.0], [])
