@@ -277,7 +277,7 @@ def solve_equilibrium(
                 raise NoEquilibriumError(f"Newton residual is not finite ({residual:g})")
             if residual < tol:
                 return x
-            lam, q = np.linalg.eigh(_restricted_laplacian(net, net._k_diag * np.cos(x)))
+            lam, q = np.linalg.eigh(_restricted_laplacian(net, net.coupling_diag * np.cos(x)))
             mag = np.abs(lam)
             if mag.max() < 1e-12 * scale or not np.all(mag > RANK_TOL * mag.max()):
                 # in the box on a connected graph L(X) is nonsingular there
@@ -334,7 +334,7 @@ def classify_stability(net: OscillatorNetwork, x_star) -> StabilityReport:
     """
     x_star = _edge_vector(net, x_star, "x_star")
     n, e = net.n_oscillators, net.n_edges
-    w = net._k_diag * np.cos(x_star)
+    w = net.coupling_diag * np.cos(x_star)
     s = np.abs(w).max()
     spec, spec_sq = np.linalg.eigvalsh(
         _restricted_laplacian(net, np.stack([w, (w / (s or 1.0)) ** 2]))
@@ -415,7 +415,7 @@ def lyapunov_v2_along(traj: Trajectory, net: OscillatorNetwork):
     x = traj.edge_x(net)
     v = traj.edge_v(net)
     v2 = 0.5 * np.sum(v * v, axis=1)
-    v2_dot = -net.n_oscillators * np.sum(net._k_diag * np.cos(x) * v * v, axis=1)
+    v2_dot = -net.n_oscillators * np.sum(net.coupling_diag * np.cos(x) * v * v, axis=1)
     return v2, v2_dot
 
 

@@ -76,13 +76,9 @@ def _fields(report, omit=()) -> dict:
     return {name: getattr(report, name) for name in names if name not in omit}
 
 
-def _bounds_payload(net, delta: float) -> dict:
-    return _fields(analysis.coupling_bounds(net, delta=delta))
-
-
 def _analysis_payload(net, delta: float, guess) -> dict:
     payload = {
-        "bounds": _bounds_payload(net, delta),
+        "bounds": _fields(analysis.coupling_bounds(net, delta=delta)),
         "sync_frequency": analysis.sync_frequency(net),
         "certificates": None,
     }
@@ -121,7 +117,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_bounds(args) -> int:
     net = parse_network(args.network)
-    write_json(_out_dir(args) / "bounds.json", _bounds_payload(net, args.delta))
+    out = _out_dir(args)
+    write_json(out / "bounds.json", _fields(analysis.coupling_bounds(net, delta=args.delta)))
     return 0
 
 

@@ -75,8 +75,12 @@ def _wrap_in_place(a: np.ndarray) -> np.ndarray:
 
 
 def wrap_phase(x):
-    """Wrap angles componentwise to the half-open interval (-pi, pi]."""
-    return _wrap_in_place(np.array(x, dtype=float))
+    """Wrap angles componentwise to the half-open interval (-pi, pi]; a
+    non-finite angle has no wrap and raises ValueError."""
+    a = np.array(x, dtype=float)
+    if not np.isfinite(a).all():
+        raise ValueError("x must be finite")
+    return _wrap_in_place(a)
 
 
 @dataclass(frozen=True)
@@ -125,11 +129,15 @@ def edge_transform(theta, theta_dot_vec, net: OscillatorNetwork) -> EdgeState:
     """Map node phases and frequencies to edge coordinates.
 
     X = B^T theta wrapped componentwise to (-pi, pi]; V = B^T theta_dot,
-    unwrapped. V = 0 exactly when all node frequencies agree.
+    unwrapped. V = 0 exactly when all node frequencies agree. Each input
+    must have shape (N,) and finite entries, or ValueError is raised.
     """
-    z = np.array([theta, theta_dot_vec], dtype=float)
-    if z.shape != (2, net.n_oscillators):
+    z = [np.asarray(a, dtype=float) for a in (theta, theta_dot_vec)]
+    if any(a.shape != (net.n_oscillators,) for a in z):
         raise ValueError(f"theta and theta_dot must have shape ({net.n_oscillators},)")
+    z = np.array(z)
+    if not np.isfinite(z).all():
+        raise ValueError("theta and theta_dot must be finite")
     x, v = _edge_diff(net, z)
     return EdgeState(x=_wrap_in_place(x), v=v)
 
@@ -139,7 +147,7 @@ def _edge_field(net: OscillatorNetwork, x: np.ndarray) -> np.ndarray:
     a frequency difference beyond the float range is inf."""
     with np.errstate(over="ignore"):
         b_omega = _edge_diff(net, net.natural_frequencies)
-    return b_omega - _btb(net, net._k_diag * np.sin(x))
+    return b_omega - _btb(net, net.coupling_diag * np.sin(x))
 
 
 def _edge_vector(net: OscillatorNetwork, x, name: str = "x") -> np.ndarray:
@@ -160,7 +168,7 @@ def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:
     """
     x = _edge_vector(net, x)
     # B^T B applied row by row to diag(d) gives diag(d) B^T B = (B^T B diag(d))^T
-    return -_btb(net, np.diag(net._k_diag * np.cos(x))).T
+    return -_btb(net, np.diag(net.coupling_diag * np.cos(x))).T
 
 
 @dataclass(frozen=True)
@@ -185,7 +193,7 @@ class Trajectory:
 
     def edge_x(self, net: OscillatorNetwork) -> np.ndarray:
         """Wrapped edge phase differences at each stored time, shape (T, e)."""
-        return wrap_phase(_edge_diff(net, self.thetas))
+        return _wrap_in_place(_edge_diff(net, self.thetas))  # a fresh array
 
     def edge_v(self, net: OscillatorNetwork) -> np.ndarray:
         """Edge frequency differences at each stored time, shape (T, e)."""
@@ -346,10 +354,10 @@ def simulate_many(
             _count_sync(store[counted : k + 1, 1], counted, run, sync_step, window_steps)
             counted = k + 1
             open_ = sync_step < 0
-            if k > 0 and not open_.any():
+            if not open_.any():
                 break
             # the batch stops no sooner than its furthest open run can complete
-            check = k + max(1, (window_steps - run[open_]).max(initial=0))
+            check = k + max(1, (window_steps - run[open_]).max())
 
     _count_sync(store[counted : k + 1, 1], counted, run, sync_step, window_steps)
     resize_store(k + 1)  # stopped early: keep only the steps taken
@@ -399,7 +407,7 @@ def vector_field_grid(
         # -2 K cos x is finite; a product past the float range is the +-inf
         # it stands for, never a NaN
         with np.errstate(over="ignore"):
-            dv = -2.0 * (net._k_diag * np.cos(a)) * b_
+            dv = -2.0 * (net.coupling_diag * np.cos(a)) * b_
         return np.column_stack([a, b_, b_, dv])
 
     # edges (1,2), (1,3), (2,3): x3 = theta_2 - theta_3 = x2 - x1

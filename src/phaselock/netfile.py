@@ -59,13 +59,11 @@ def _sparse_coupling(entries: list, n: int) -> list[float]:
         extra = set(rec) - {"i", "j", "k"}
         if extra:
             raise NetworkFileError(f"{where}: unknown keys {sorted(extra)}")
-        try:
-            i, j = rec["i"], rec["j"]
-        except KeyError as missing:
-            raise NetworkFileError(f"{where}: missing key {missing}") from None
-        if "k" not in rec:
-            raise NetworkFileError(f"{where}: missing key 'k'")
-        if not (isinstance(i, int) and isinstance(j, int)) or isinstance(i, bool) or isinstance(j, bool):
+        missing = sorted({"i", "j", "k"} - set(rec))
+        if missing:
+            raise NetworkFileError(f"{where}: missing key {missing[0]!r}")
+        i, j = rec["i"], rec["j"]
+        if type(i) is not int or type(j) is not int:  # JSON gives exact types; bool is not int
             raise NetworkFileError(f"{where}: i and j must be integers")
         if not 1 <= i < j <= n:
             raise NetworkFileError(f"{where}: need 1 <= i < j <= {n}, got ({i}, {j})")

@@ -82,9 +82,9 @@ class OscillatorNetwork:
     """A coupled-oscillator network: frequencies plus per-edge gains.
 
     ``coupling_gains`` is indexed by the lexicographic edge order and must be
-    nonnegative; the diagonal coupling matrix used by the dynamics is
-    gains/N, so the gain on edge (i, j) is the raw pairwise constant before
-    the 1/N normalization of the oscillator equation.
+    nonnegative; ``coupling_diag`` stores gains/N, the diagonal coupling
+    matrix K of the dynamics, so the gain on edge (i, j) is the raw pairwise
+    constant before the 1/N normalization of the oscillator equation.
     """
 
     n_oscillators: int
@@ -110,18 +110,13 @@ class OscillatorNetwork:
         object.__setattr__(self, "n_oscillators", int(n))
         object.__setattr__(self, "natural_frequencies", _freeze(omega))
         object.__setattr__(self, "coupling_gains", _freeze(gains))
-        object.__setattr__(self, "_k_diag", _freeze(gains / n))
+        object.__setattr__(self, "coupling_diag", _freeze(gains / n))
         object.__setattr__(self, "_ends", tuple(map(_freeze, np.triu_indices(n, 1))))
-        object.__setattr__(self, "_w", _freeze(_node_matrix(self, self._k_diag)))
+        object.__setattr__(self, "_w", _freeze(_node_matrix(self, self.coupling_diag)))
 
     @property
     def n_edges(self) -> int:
         return edge_count(self.n_oscillators)
-
-    @property
-    def coupling_diag(self) -> np.ndarray:
-        """Diagonal of the coupling matrix, gains/N."""
-        return self._k_diag
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OscillatorNetwork):

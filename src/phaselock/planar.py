@@ -116,22 +116,18 @@ def in_region_g(x, p: PlanarParams):
     return inside if inside.ndim else bool(inside)
 
 
-def _validate_cone_inputs(a: float, eps: float):
-    if not eps > 0:
-        raise OutOfDomainError("eps must be positive")
-    if not -np.pi / 2 < a < np.pi / 2:
-        raise OutOfDomainError(f"a = {a:g} outside (-pi/2, pi/2)")
-    if not abs(a) + eps < np.pi / 2:
-        raise OutOfDomainError(f"|a| + eps = {abs(a) + eps:g} must stay below pi/2")
-
-
 def direction_cone_estimate(a: float, eps: float, p: PlanarParams) -> SlopeInterval:
     """Slope interval of field directions near the equilibrium (a, 0).
 
     The bracket is {-K cos(a + eps), -K cos(a - eps)}, ordered; it is valid
     only while |a| + eps < pi/2, where the cosine keeps a fixed sign.
     """
-    _validate_cone_inputs(a, eps)
+    if not eps > 0:
+        raise OutOfDomainError("eps must be positive")
+    if not -np.pi / 2 < a < np.pi / 2:
+        raise OutOfDomainError(f"a = {a:g} outside (-pi/2, pi/2)")
+    if not abs(a) + eps < np.pi / 2:
+        raise OutOfDomainError(f"|a| + eps = {abs(a) + eps:g} must stay below pi/2")
     s1 = -p.k * math.cos(a + eps)
     s2 = -p.k * math.cos(a - eps)
     return SlopeInterval(lo=min(s1, s2), hi=max(s1, s2))

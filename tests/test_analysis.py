@@ -966,7 +966,7 @@ def _check_edge_views(net, x, theta):
     assert np.array_equal(traj.edge_v(net), traj.theta_dots @ b)
 
     xs, vs = traj.edge_x(net), traj.edge_v(net)
-    weighted = (net._k_diag * np.cos(xs)) * vs
+    weighted = (net.coupling_diag * np.cos(xs)) * vs
     v2, v2_dot = lyapunov_v2_along(traj, net)
     terms = np.abs(vs) * (np.abs(weighted) @ np.abs(btb))
     dense = -np.sum(vs * (weighted @ btb.T), axis=1)
@@ -978,7 +978,7 @@ def _check_edge_views(net, x, theta):
 
     # a phase-difference vector B^T theta with its consistent frequencies
     xc = b.T @ theta[0]
-    v_dense = b.T @ net.natural_frequencies - btb @ (net._k_diag * np.sin(xc))
+    v_dense = b.T @ net.natural_frequencies - btb @ (net.coupling_diag * np.sin(xc))
     member = in_set_h(EdgeState(xc, v_dense), net)
     assert member.in_colspace and member.v_consistent
     assert not in_set_h(EdgeState(xc, v_dense + 1e-6), net).v_consistent
@@ -1022,7 +1022,7 @@ def test_in_set_h_at_n200_stays_small(traced_peak):
     i, j = np.triu_indices(n, 1)
     theta = np.linspace(-0.2, 0.2, n)
     x = theta[i] - theta[j]
-    k_sin = net._k_diag * np.sin(x)
+    k_sin = net.coupling_diag * np.sin(x)
     by = np.bincount(i, k_sin, n) - np.bincount(j, k_sin, n)
     v = (omega[i] - omega[j]) - (by[i] - by[j])
     member, peak = traced_peak(in_set_h, EdgeState(x, v), net)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import copy
+import dataclasses
 import inspect
 import json
 import os
@@ -17,6 +18,7 @@ from test_tables import oracle_json
 import phaselock.cli
 import phaselock.dynamics
 import phaselock.errors
+import phaselock.experiments
 from phaselock import DivergenceError, OscillatorNetwork, parse_network, theta_dot, write_network
 from phaselock.cli import main
 from phaselock.experiments import (
@@ -309,6 +311,69 @@ def test_failed_experiment_verification_exits_2(tmp_path, capsys, monkeypatch):
         "experiment three_chain verification FAILED:\n  - first check\n  - second check\n"
     )
     assert (tmp_path / "exp" / "report.json").read_text() == '{\n  "x": 1.0\n}\n'
+
+
+def test_three_chain_reports_a_fixed_point_off_its_target(tmp_path, monkeypatch):
+    solve = phaselock.experiments.solve_equilibrium
+    monkeypatch.setattr(
+        phaselock.experiments, "solve_equilibrium", lambda net, **kw: solve(net, **kw) + 1e-6
+    )
+    result = run_experiment("three_chain", out_dir=tmp_path)
+    x = result.report["fixed_point"]
+    assert result.passed is False
+    assert result.failures == [
+        f"fixed point: expected (x1, x2) = (0, {-np.pi / 6:.15g}), got ({x[0]:.15g}, {x[1]:.15g})"
+    ]
+
+
+def test_three_chain_reports_a_wrong_classification(tmp_path, monkeypatch):
+    classify = phaselock.experiments.classify_stability
+    monkeypatch.setattr(
+        phaselock.experiments,
+        "classify_stability",
+        lambda net, x: dataclasses.replace(classify(net, x), classification="unstable"),
+    )
+    result = run_experiment("three_chain", out_dir=tmp_path)
+    assert result.passed is False
+    assert result.failures == ["classification: expected semistable-candidate, got unstable"]
+
+
+@pytest.mark.parametrize("other", [False, True], ids=["no-lock", "another-lock"])
+def test_three_chain_sweep_skips_failed_solves_and_reports_another_in_box_lock(
+    tmp_path, monkeypatch, other
+):
+    solve = phaselock.experiments.solve_equilibrium
+
+    def sweep_solve(net, theta_guess=None):
+        if theta_guess is None:  # the fixed point itself
+            return solve(net)
+        if theta_guess[0] < 0.0:
+            raise phaselock.errors.NoEquilibriumError("no lock from this guess")
+        return solve(net) + (0.1 if other else 0.0)
+
+    monkeypatch.setattr(phaselock.experiments, "solve_equilibrium", sweep_solve)
+    result = run_experiment("three_chain", out_dir=tmp_path)
+    assert result.passed is not other
+    assert result.failures == (["sweep found an additional in-box fixed point"] if other else [])
+
+
+def test_five_network_reports_a_final_frequency_off_the_mean(tmp_path, monkeypatch):
+    simulate = phaselock.experiments.simulate
+
+    def off_by_a_millirad(*args, **kwargs):
+        traj = simulate(*args, **kwargs)
+        dots = traj.theta_dots.copy()
+        dots[-1, 0] += 1e-3
+        return dataclasses.replace(traj, theta_dots=dots)
+
+    monkeypatch.setattr(phaselock.experiments, "simulate", off_by_a_millirad)
+    result = run_experiment("five_network", out_dir=tmp_path)
+    worst = result.report["worst_deviation"]
+    assert result.passed is False
+    assert worst == pytest.approx(1e-3, abs=1e-6)
+    assert result.failures == [
+        f"frequencies: expected all within 1e-6 of 3 rad/s, worst deviation {worst:.3g}"
+    ]
 
 
 @pytest.mark.parametrize("experiment_id", ["nope", "", "THREE_CHAIN"])

@@ -224,6 +224,40 @@ def test_edge_transform_rejects_a_wrong_length():
         edge_transform(np.zeros(4), np.zeros(4), _zero_network(3))
 
 
+@pytest.mark.parametrize(
+    "theta, rates",
+    [([0, 0, 0], [0, 0]), ([0, 0], [0, 0, 0]), ([0, 0, 0], [[0, 0, 0]]), (0.0, [0, 0, 0])],
+    ids=["short-rates", "short-phases", "rates-row", "scalar-phase"],
+)
+def test_edge_transform_checks_each_input_shape(theta, rates):
+    with pytest.raises(ValueError, match=r"^theta and theta_dot must have shape \(3,\)$"):
+        edge_transform(theta, rates, _zero_network(3))
+
+
+@pytest.mark.parametrize(
+    "theta, rates",
+    [
+        ([0, np.inf, 0], [0, 0, 0]),
+        ([0, np.nan, 0], [0, 0, 0]),
+        ([0, 0, 0], [0, -np.inf, 0]),
+        ([0, 0, 0], [np.nan, 0, 0]),
+    ],
+    ids=["inf-phase", "nan-phase", "inf-rate", "nan-rate"],
+)
+def test_edge_transform_rejects_non_finite_inputs(theta, rates):
+    with pytest.raises(ValueError, match="^theta and theta_dot must be finite$"):
+        edge_transform(theta, rates, _zero_network(3))
+
+
+@pytest.mark.parametrize(
+    "x", [np.inf, -np.inf, np.nan, [0.0, np.inf], [[np.nan]]],
+    ids=["inf", "-inf", "nan", "inf-entry", "nan-entry"],
+)
+def test_wrap_phase_rejects_non_finite_angles(x):
+    with pytest.raises(ValueError, match="^x must be finite$"):
+        wrap_phase(x)
+
+
 def test_g_matrix_at_origin_is_negative_edge_laplacian_scaled():
     net = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
     b = incidence_matrix(3)
