@@ -32,7 +32,6 @@ from .dynamics import (
     EdgeState,
     Trajectory,
     _edge_field,
-    _edge_vector,
     _rk4_steps,
     _row_slices,
     _validate_grid,
@@ -41,7 +40,7 @@ from .dynamics import (
 )
 from .errors import NoEquilibriumError, SingularJacobianError
 from .network import OscillatorNetwork, edge_count, is_connected
-from .network import _btb, _edge_diff, _laplacian, _neighbor_sum
+from .network import _btb, _edge_diff, _laplacian, _neighbor_sum, _vector
 
 __all__ = [
     "SEMISTABLE_CANDIDATE",
@@ -257,11 +256,7 @@ def solve_equilibrium(
     if theta_guess is None:
         theta = np.zeros(n)
     else:
-        theta = np.array(theta_guess, dtype=float)
-        if theta.shape != (n,):
-            raise ValueError(f"theta_guess must have shape ({n},)")
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta_guess must be finite")
+        theta = np.array(_vector(theta_guess, n, "theta_guess"))  # Newton steps it in place
         if np.ptp(theta) >= np.pi:
             raise ValueError("theta_guess must have phase spread below pi")
 
@@ -307,7 +302,7 @@ def linearize(net: OscillatorNetwork, x_star) -> np.ndarray:
     Dense 2e x 2e: 784 MB at N = 100 and 12.7 GB at N = 200. No library
     path forms it; ``classify_stability`` reads its spectrum off L(X*).
     """
-    x_star = _edge_vector(net, x_star, "x_star")
+    x_star = _vector(x_star, net.n_edges, "x_star")
     e = net.n_edges
     a = np.zeros((2 * e, 2 * e))
     a[:e, e:] = np.eye(e)
@@ -332,7 +327,7 @@ def classify_stability(net: OscillatorNetwork, x_star) -> StabilityReport:
     unstable: X* outside the box and a restricted eigenvalue above the
     tolerance. Else indeterminate.
     """
-    x_star = _edge_vector(net, x_star, "x_star")
+    x_star = _vector(x_star, net.n_edges, "x_star")
     n, e = net.n_oscillators, net.n_edges
     w = net.coupling_diag * np.cos(x_star)
     s = np.abs(w).max()
@@ -366,7 +361,7 @@ def nontangency_rank_test(net: OscillatorNetwork, x) -> bool:
     positive and L(X) a positive-semidefinite Laplacian: this holds exactly
     when the positive-gain graph is connected, which is what is tested.
     """
-    x = _edge_vector(net, x)
+    x = _vector(x, net.n_edges, "x")
     if not _in_box(x):
         raise ValueError("x must lie strictly inside the half-circle box")
     return is_connected(net)

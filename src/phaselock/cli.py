@@ -117,8 +117,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_bounds(args) -> int:
     net = parse_network(args.network)
-    out = _out_dir(args)
-    write_json(out / "bounds.json", _fields(analysis.coupling_bounds(net, delta=args.delta)))
+    payload = _fields(analysis.coupling_bounds(net, delta=args.delta))
+    write_json(_out_dir(args) / "bounds.json", payload)
     return 0
 
 

@@ -71,6 +71,16 @@ def edge_laplacian(b: np.ndarray) -> np.ndarray:
     return b.T @ b
 
 
+def _vector(x, n: int, name: str) -> np.ndarray:
+    """``x`` as a float array of shape (n,) with finite entries, or ValueError."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite")
+    return x
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.array(a)
     a.flags.writeable = False
@@ -95,16 +105,8 @@ class OscillatorNetwork:
         n = self.n_oscillators
         if not isinstance(n, (int, np.integer)) or n < 2:
             raise ValueError("n_oscillators must be an integer >= 2")
-        omega = np.asarray(self.natural_frequencies, dtype=float)
-        gains = np.asarray(self.coupling_gains, dtype=float)
-        if omega.shape != (n,):
-            raise ValueError(f"natural_frequencies must have shape ({n},)")
-        if gains.shape != (edge_count(n),):
-            raise ValueError(f"coupling_gains must have shape ({edge_count(n)},)")
-        if not np.all(np.isfinite(omega)):
-            raise ValueError("natural_frequencies must be finite")
-        if not np.all(np.isfinite(gains)):
-            raise ValueError("coupling_gains must be finite")
+        omega = _vector(self.natural_frequencies, n, "natural_frequencies")
+        gains = _vector(self.coupling_gains, edge_count(n), "coupling_gains")
         if np.any(gains < 0):
             raise ValueError("coupling_gains must be nonnegative")
         object.__setattr__(self, "n_oscillators", int(n))

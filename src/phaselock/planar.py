@@ -224,13 +224,13 @@ def _rk4_floats(p: PlanarParams, rows: np.ndarray, dt: float):
     """Fill rows 1, 2, ... of ``rows`` (T, 2m) from row 0, the states
     (x1, x2) side by side, by classical RK4 on ``planar_field`` spelled out
     in floats: each stage is ((-K) x2) cos x1, and the step is
-    y + (dt / 6) (k1 + 2 k2 + 2 k3 + k4), grouped as the node generator
-    ``dynamics._rk4_steps`` groups it. Steps run outside and states inside,
-    so a DivergenceError names the first step at which any state goes
-    non-finite.
+    y + (dt / 6) k1 + (dt / 3) k2 + (dt / 3) k3 + (dt / 6) k4, grouped as
+    the node generator ``dynamics._rk4_steps`` groups it. Steps run outside
+    and states inside, so a DivergenceError names the first step at which
+    any state goes non-finite.
     """
     mk = -float(p.k)
-    half, sixth, h = float(0.5 * dt), float(dt / 6.0), float(dt)
+    half, sixth, third, h = float(0.5 * dt), float(dt / 6.0), float(dt / 3.0), float(dt)
     y = rows[0].tolist()
     cos, isfinite = math.cos, math.isfinite
     try:
@@ -244,8 +244,8 @@ def _rk4_floats(p: PlanarParams, rows: np.ndarray, dt: float):
                 k3 = (mk * b3) * cos(a3)
                 a4, b4 = a + h * b3, b + h * k3
                 k4 = (mk * b4) * cos(a4)
-                a = a + sixth * (b + 2.0 * b2 + 2.0 * b3 + b4)
-                b = b + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                a = a + sixth * b + third * b2 + third * b3 + sixth * b4
+                b = b + sixth * k1 + third * k2 + third * k3 + sixth * k4
                 if not (isfinite(a) and isfinite(b)):
                     raise DivergenceError(step=step, time=step * dt)
                 y[i], y[i + 1] = a, b

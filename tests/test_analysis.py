@@ -80,6 +80,14 @@ def test_solve_equilibrium_guess_validation():
         solve_equilibrium(CHAIN, theta_guess=np.array([0.0, np.nan, 0.0]))
 
 
+def test_solve_equilibrium_leaves_the_guess_unchanged():
+    # Newton steps its iterate in place, so the iterate must be a copy
+    guess = np.array([0.3, -0.2, 0.1])
+    x_star = solve_equilibrium(CHAIN, theta_guess=guess)
+    assert np.array_equal(guess, [0.3, -0.2, 0.1])
+    assert x_star[1] == pytest.approx(-np.pi / 6, abs=1e-9)
+
+
 @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf, -np.inf])
 def test_solve_equilibrium_rejects_a_tolerance_that_is_not_positive_and_finite(
     tol, monkeypatch
@@ -1162,10 +1170,13 @@ def test_certificate_counts_a_full_turn_in_one_step_as_escaped():
 
 
 def test_certificate_blow_up_raises_divergence():
-    net = OscillatorNetwork(2, [1e308, -1e308], [1.0])
-    with warnings.catch_warnings(), pytest.raises(DivergenceError):
+    # equal frequencies keep every sample locked while the phases leave the
+    # float range: the exact state at step 3 (t = 1.5 s) is 2.55e308
+    net = OscillatorNetwork(2, [1.7e308, 1.7e308], [1.0])
+    with warnings.catch_warnings(), pytest.raises(DivergenceError) as info:
         warnings.simplefilter("error")  # the error is the only signal
-        invariance_certificate(net, n_samples=5, horizon=1.0, dt=0.5, seed=0)
+        invariance_certificate(net, n_samples=5, horizon=2.0, dt=0.5, seed=0)
+    assert info.value.step == 3
 
 
 def _escape_steps(net, n_samples, horizon, dt, seed):

@@ -160,6 +160,14 @@ def test_bounds_output(pair_file, tmp_path):
     assert payload["uniform_k0"] == 0.5
 
 
+@pytest.mark.parametrize("delta", ["5", "nan", "0"])
+def test_bounds_checks_delta_before_making_the_out_directory(pair_file, tmp_path, capsys, delta):
+    out = tmp_path / "bd"
+    assert main(["bounds", "--network", str(pair_file), "--delta", delta, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: delta must lie in (0, pi)\n"
+    assert not out.exists()
+
+
 def test_invariance_pass_and_fail_exit_codes(pair_file, tmp_path, capsys):
     out = tmp_path / "ok"
     code = main(
@@ -738,9 +746,6 @@ def test_every_json_output_is_the_oracle_fixpoint(tmp_path):
         assert text == oracle_json(json.loads(text)), path
 
 
-_DIVERGED = "error: non-finite state at step 1 (t = 0.01 s)\n"
-
-
 @pytest.mark.parametrize(
     "omega",
     [[1e308, -1e308], [1e308, -1e308, 0.0], [1.7e308, -1.7e308, 0.0]],
@@ -766,8 +771,15 @@ def test_frequencies_at_the_float_limit_print_no_warning(tmp_path, capsys, omega
     write_network(OscillatorNetwork(n, omega, np.ones(n * (n - 1) // 2)), path)
     code = main([*argv, "--network", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    if argv[0] in ("simulate", "invariance") or "--certify" in argv:
-        assert (code, err) == (1, _DIVERGED)
+    if argv[0] == "simulate":
+        # the phase difference 2 |omega| t passes the float range in step 90 (53 at 1.7e308)
+        step = 53 if omega[0] == 1.7e308 else 90
+        diverged = f"error: non-finite state at step {step} (t = {step / 100:g} s)\n"
+        assert (code, err) == (1, diverged)
+    elif argv[0] == "invariance" or "--certify" in argv:
+        # every sample leaves the box at step 1, which ends the certificate
+        failed = "invariance certificate FAILED: 0/5 trajectories stayed in the set\n"
+        assert (code, err) == (2, failed if argv[0] == "invariance" else "")
     elif argv[0] == "portrait" and n == 2:
         assert (code, err) == (1, "error: portrait needs a finite frequency difference "
                                f"omega_1 - omega_2, got omega = ({omega[0]:g}, {omega[1]:g})\n")
@@ -777,6 +789,17 @@ def test_frequencies_at_the_float_limit_print_no_warning(tmp_path, capsys, omega
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["equilibrium"] is None
         assert report["equilibrium_error"] == "Newton residual is not finite (inf)"
+
+
+def test_invariance_steps_a_common_mode_near_the_float_limit(tmp_path, capsys):
+    # each stage is about 4e307 and the step 4e305; their unscaled RK4 sum overflows
+    path = tmp_path / "fast.json"
+    write_network(OscillatorNetwork(2, [4e307, 4e307], [1.0]), path)
+    argv = ["invariance", "--network", str(path), "--t-end", "0.02", "--samples", "2"]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "invariance.json").read_text())
+    assert report["certificates"]["invariance"]["n_stayed"] == 2
 
 
 def test_analyze_takes_the_mean_frequency_within_the_float_range(tmp_path, capsys):

@@ -28,7 +28,7 @@ from phaselock import (
     vector_field_grid,
     wrap_phase,
 )
-from phaselock.dynamics import SYNC_TOL, SYNC_WINDOW, Trajectory
+from phaselock.dynamics import SYNC_TOL, SYNC_WINDOW, Trajectory, _rk4_steps
 from phaselock.errors import DivergenceError
 
 
@@ -435,7 +435,7 @@ def _oracle_simulate_many(net, theta0s, t_end, dt, stop_on_sync):
             k2 = f(y + 0.5 * dt * fy)
             k3 = f(y + 0.5 * dt * k2)
             k4 = f(y + dt * k3)
-            y = y + (dt / 6.0) * (fy + 2.0 * k2 + 2.0 * k3 + k4)
+            y = y + (dt / 6.0) * fy + (dt / 3.0) * k2 + (dt / 3.0) * k3 + (dt / 6.0) * k4
             if not np.isfinite(y).all():
                 raise DivergenceError(step=k, time=k * dt)
             fy = f(y)
@@ -494,6 +494,12 @@ def test_simulate_many_matches_the_reducer_oracle(
     assert got == want
 
 
+def test_a_field_spread_past_the_float_range_counts_as_out_of_sync():
+    # one finite step at omega = +-1e308, whose field spread is inf
+    traj = simulate(OscillatorNetwork(2, [1e308, -1e308], [0.3]), [0.0, 0.0], 0.005, 0.005)
+    assert traj.synchronized_at is None and np.isfinite(traj.thetas).all()
+
+
 @pytest.mark.parametrize("stop_on_sync", [False, True])
 @pytest.mark.parametrize("k, steps", [(18.5, 171), (20.0, 180), (26.0, 185)])
 def test_sync_completing_in_the_final_partial_block_is_found(k, steps, stop_on_sync):
@@ -509,6 +515,32 @@ def test_sync_completing_in_the_final_partial_block_is_found(k, steps, stop_on_s
                                                   stop_on_sync))
     assert got == want
     assert [sync is not None for *_, sync in got] == [True, False]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 5, 10, 50]),
+    m=st.integers(1, 3),
+    dt=st.sampled_from([0.001, 0.01, 0.05]),
+    steps=st.integers(1, 2000),
+    gain=st.sampled_from([0.3, 3.0, 30.0]),
+    spread=st.sampled_from([0.1, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_phase_sum_advances_at_the_frequency_sum(n, m, dt, steps, gain, spread, seed):
+    # 1^T B = 0, so sum(theta) - t sum(omega) is constant along the flow;
+    # a skipped step or a wrong stage weight moves it by far more than round-off
+    rng = np.random.default_rng(seed)
+    e = n * (n - 1) // 2
+    net = OscillatorNetwork(
+        n, rng.uniform(-spread, spread, n), rng.uniform(0.0, gain, e) * (rng.random(e) < 0.8)
+    )
+    theta0s = rng.uniform(-np.pi, np.pi, (n, m))
+    thetas = np.array([y for _, y, _ in _rk4_steps(net, theta0s, steps, dt)])
+    t = np.arange(steps + 1)[:, None] * dt
+    drift = thetas.sum(axis=1) - theta0s.sum(axis=0) - t * net.natural_frequencies.sum()
+    # measured at most 0.41 of this bound, and 8.0e-11 where |theta| reaches 1e3
+    assert np.abs(drift).max() <= 2 * np.finfo(float).eps * n * steps * np.abs(thetas).max()
 
 
 def _per_step_sync(dots, window_steps, run, sync_step):

@@ -270,8 +270,15 @@ def test_network_equality_and_immutability():
         (lambda: OscillatorNetwork(3, [1.0, 2.0, 3.0], [1.0, np.nan, 1.0]), "gains must be finite"),
         (lambda: OscillatorNetwork(3, [1.0, 2.0, 3.0], [np.inf, 1.0, 1.0]), "gains must be finite"),
         (lambda: OscillatorNetwork(3, [1.0, 2.0, 3.0], [1.0, 1.0, -np.inf]), "gains must be finite"),
+        (lambda: OscillatorNetwork(3, [1.0, 2.0], [1.0, 1.0, 1.0]),
+         r"^natural_frequencies must have shape \(3,\)$"),
+        (lambda: OscillatorNetwork(3, [1.0, np.nan, 3.0], [1.0, 1.0, 1.0]),
+         r"^natural_frequencies must be finite$"),
+        (lambda: OscillatorNetwork(3, [1.0, 2.0, 3.0], [1.0, 1.0]),
+         r"^coupling_gains must have shape \(3,\)$"),
     ],
-    ids=["edge-order", "edge-range", "edge-negative", "gain-nan", "gain-inf", "gain-minus-inf"],
+    ids=["edge-order", "edge-range", "edge-negative", "gain-nan", "gain-inf", "gain-minus-inf",
+         "omega-shape", "omega-nan", "gain-shape"],
 )
 def test_bad_edges_and_gains_are_named(call, match):
     with pytest.raises(ValueError, match=match):

@@ -103,7 +103,8 @@ def test_upper_boundary_is_invariant_level_set():
 
 def planar_rk4_oracle(p, x0, t_end, dt):
     """The planar RK4 loop as it stood before it moved onto the shared
-    driver, with the field written out as (x2, -K x2 cos x1)."""
+    driver, with the field written out as (x2, -K x2 cos x1) and each stage
+    scaled before the sum."""
 
     def field(x):
         return np.stack([x[..., 1], -p.k * x[..., 1] * np.cos(x[..., 0])], axis=-1)
@@ -117,7 +118,7 @@ def planar_rk4_oracle(p, x0, t_end, dt):
         k2 = field(x + 0.5 * dt * k1)
         k3 = field(x + 0.5 * dt * k2)
         k4 = field(x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x + (dt / 6.0) * k1 + (dt / 3.0) * k2 + (dt / 3.0) * k3 + (dt / 6.0) * k4
         out[k] = x
     return np.arange(n_steps + 1) * dt, out
 
@@ -194,6 +195,31 @@ def test_stiff_planar_run_raises_divergence():
                 simulate_planar(p, x0, 1.0, 0.01)
             raised.append((exc.value.step, exc.value.time, str(exc.value)))
         assert raised == [raised[-1]] * 5
+
+
+def test_a_step_whose_stages_sum_past_the_float_range_stays_finite():
+    # x1 moves by about 1e306 a step: k1 + 2 k2 + 2 k3 + k4 would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, states = simulate_planar(PlanarParams(1, 0), [0, 1e308], 0.02, 0.01)
+    assert states.shape == (3, 2) and np.isfinite(states).all()
+    assert states[1, 0] == pytest.approx(1e306, rel=0.01)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(0.1, 2.0),
+    arrays(float, st.tuples(st.integers(1, 8), st.just(2)), elements=st.floats(-1.0, 1.0)),
+    st.floats(0.05, 10.0),
+    st.sampled_from([0.0025, 0.005, 0.01]),
+)
+def test_every_planar_run_keeps_its_adler_constant(k, unit, t_end, dt):
+    # d/dt (x2 + K sin x1) = 0 on planar_field, so each run solves Adler's
+    # equation x1' = c - K sin x1 with c fixed by its start
+    _, states = simulate_planar(PlanarParams(k=k, delta_omega=0.0), unit * [np.pi, 2.0], t_end, dt)
+    c = states[..., 1] + k * np.sin(states[..., 0])
+    # on this domain the drift peaks at 3.6e-8: K = 2, x0 = (-pi/2, -2), 10 s at dt 0.01
+    assert np.abs(c - c[0]).max() < 1e-6
 
 
 def test_small_batch_stores_its_trajectory_without_a_second_copy(traced_peak):
