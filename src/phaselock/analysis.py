@@ -40,7 +40,7 @@ from .dynamics import (
 )
 from .errors import NoEquilibriumError, SingularJacobianError
 from .network import OscillatorNetwork, edge_count, is_connected
-from .network import _btb, _edge_diff, _laplacian, _neighbor_sum, _vector
+from .network import _btb, _edge_diff, _frame, _laplacian, _neighbor_sum, _unframe, _vector
 
 __all__ = [
     "SEMISTABLE_CANDIDATE",
@@ -73,26 +73,10 @@ INDETERMINATE = "indeterminate"
 
 RANK_TOL = 1e-10  # relative eigenvalue cutoff for rank decisions
 NEWTON_MAX_ITER = 100  # Newton iterations before NoEquilibriumError
+NEWTON_TOL = 1e-12  # Newton stops once the edge residual max norm ptp(f) is below it
 ZERO_TOL = 1e-9  # eigenvalue cutoff for "negligible", relative to |A|_2
 COLSPACE_TOL = 1e-9  # set H: 2-norm distance of X from the column space
 CONSISTENCY_TOL = 1e-9  # set H: max-norm mismatch of V with the identity
-
-
-def _frame(net: OscillatorNetwork) -> float:
-    """The power of two s every gain threshold, the set-H slack and the
-    attracting-set margin divide omega and the gains by: 1 unless their
-    largest magnitude passes 2^(1000 - 3 bit_length(N)). No sum overflows
-    there, and ``_unframe`` scales back exactly: a value is inf only past the
-    float range, and where s = 1 the plain formula. The cost where s > 1: a
-    subnormal omega, gain or result loses bits and may flush to 0."""
-    top = max(float(np.abs(net.natural_frequencies).max()), float(net.coupling_gains.max()))
-    return 2.0 ** max(0, math.frexp(top)[1] - (1000 - 3 * net.n_oscillators.bit_length()))
-
-
-def _unframe(s: float, value):
-    """value, computed in the frame s, scaled back: inf past the float range."""
-    with np.errstate(over="ignore"):
-        return s * value
 
 
 def _edge_frequency_mismatch(net: OscillatorNetwork, s: float, edges=slice(None)) -> np.ndarray:
@@ -228,11 +212,7 @@ class InvarianceReport:
     seed: int | None
 
 
-def solve_equilibrium(
-    net: OscillatorNetwork,
-    theta_guess=None,
-    tol: float = 1e-12,
-) -> np.ndarray:
+def solve_equilibrium(net: OscillatorNetwork, theta_guess=None) -> np.ndarray:
     """Newton-solve B^T omega - B^T B K sin(B^T theta) = 0 for the edge
     phase differences X* = B^T theta*.
 
@@ -245,13 +225,10 @@ def solve_equilibrium(
     the box on a connected positive-gain graph, lambda_min > 0; else it
     raises SingularJacobianError naming weak coupling (that case), a
     cos(x_i) = 0 crossing or a disconnected positive-gain graph; and
-    NoEquilibriumError when the residual is not finite or does not reach
-    ``tol`` within ``NEWTON_MAX_ITER`` iterations, which typically means
-    the gains are below critical. A ``tol`` that is not positive and finite
-    raises ValueError before the first step.
+    NoEquilibriumError when the residual is not finite or does not fall
+    below ``NEWTON_TOL`` within ``NEWTON_MAX_ITER`` iterations, which
+    typically means the gains are below critical.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
     n = net.n_oscillators
     if theta_guess is None:
         theta = np.zeros(n)
@@ -270,7 +247,7 @@ def solve_equilibrium(
             residual = f.max() - f.min()
             if not np.isfinite(residual):
                 raise NoEquilibriumError(f"Newton residual is not finite ({residual:g})")
-            if residual < tol:
+            if residual < NEWTON_TOL:
                 return x
             lam, q = np.linalg.eigh(_restricted_laplacian(net, net.coupling_diag * np.cos(x)))
             mag = np.abs(lam)
@@ -280,7 +257,10 @@ def solve_equilibrium(
                 weak = connected and _in_box(x)
                 if not (weak and lam[0] > 0.0):
                     cause = (
-                        f"weak coupling: smallest eigenvalue {lam[0] / lam[-1]:.3g} of the largest"
+                        "weak coupling: every eigenvalue is 0"
+                        if weak and not mag.max()
+                        else f"weak coupling: smallest eigenvalue {lam[0] / lam[-1]:.3g} "
+                        "of the largest"
                         if weak
                         else "equilibrium near a cos(x_i) = 0 crossing"
                         if connected
@@ -291,7 +271,7 @@ def solve_equilibrium(
             theta += v @ (q @ ((q.T @ (v.T @ f)) / lam))
 
     raise NoEquilibriumError(
-        f"Newton did not reach |residual| < {tol:g} in {NEWTON_MAX_ITER} iterations; "
+        f"Newton did not reach |residual| < {NEWTON_TOL:g} in {NEWTON_MAX_ITER} iterations; "
         "coupling gains may be below critical"
     )
 

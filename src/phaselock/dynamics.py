@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import OscillatorNetwork, _btb, _edge_diff, _vector
+from .network import OscillatorNetwork, _btb, _edge_diff, _frame, _unframe, _vector
 
 __all__ = [
     "EdgeState",
@@ -129,20 +129,25 @@ def edge_transform(theta, theta_dot_vec, net: OscillatorNetwork) -> EdgeState:
     """Map node phases and frequencies to edge coordinates.
 
     X = B^T theta wrapped componentwise to (-pi, pi]; V = B^T theta_dot,
-    unwrapped. V = 0 exactly when all node frequencies agree. Each input
-    must have shape (N,) and finite entries, or ValueError is raised.
+    unwrapped, +-inf past the float range. V = 0 exactly when all node rates
+    agree. An input not of shape (N,) or not finite, or a phase difference X
+    past the float range, raises ValueError.
     """
     z = [_vector(a, net.n_oscillators, "theta and theta_dot") for a in (theta, theta_dot_vec)]
-    x, v = _edge_diff(net, np.array(z))
+    with np.errstate(over="ignore"):
+        x, v = _edge_diff(net, np.array(z))
+    if not np.isfinite(x).all():
+        raise ValueError("theta has a phase difference beyond the float range")
     return EdgeState(x=_wrap_in_place(x), v=v)
 
 
 def _edge_field(net: OscillatorNetwork, x: np.ndarray) -> np.ndarray:
-    """First-order edge field B^T omega - B^T B K sin(X) (edge index last);
-    a frequency difference beyond the float range is inf."""
-    with np.errstate(over="ignore"):
-        b_omega = _edge_diff(net, net.natural_frequencies)
-    return b_omega - _btb(net, net.coupling_diag * np.sin(x))
+    """First-order edge field B^T omega - B^T B K sin(X) (edge index last),
+    computed in the frame s of ``_frame``: a value beyond the float range
+    is +-inf, never NaN."""
+    s = _frame(net)
+    field = _edge_diff(net, net.natural_frequencies / s)
+    return _unframe(s, field - _btb(net, (net.coupling_diag / s) * np.sin(x)))
 
 
 def g_matrix(x, net: OscillatorNetwork) -> np.ndarray:

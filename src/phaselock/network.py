@@ -12,11 +12,12 @@ Only this module reads the edge order: B^T z (``_edge_diff``), B^T B y
 ``incidence_matrix`` is the dense reference. ``_node_matrix`` is the one
 scatter of edge values into a symmetric N x N matrix: the coupling matrix,
 B diag(w) B^T (``_laplacian``), ``_neighbor_sum`` and the connectivity
-verdict all read it.
+verdict all read it. ``_frame`` is the one power-of-two frame free of overflow.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,23 @@ def _neighbor_sum(net: OscillatorNetwork, c: np.ndarray) -> np.ndarray:
     np.add.accumulate(m[..., :-1], axis=-1, out=apart[..., 1:])
     apart[..., :-1] += np.add.accumulate(m[..., :0:-1], axis=-1)[..., ::-1]
     return apart[..., i, j] + apart[..., j, i]
+
+
+def _frame(net: OscillatorNetwork) -> float:
+    """The power of two s the edge field, gain thresholds, set-H slack and
+    attracting-set margin divide omega and the gains by: 1 unless their
+    largest magnitude passes 2^(1000 - 3 bit_length(N)). No sum overflows
+    there, and ``_unframe`` scales back exactly: a value is inf only past the
+    float range, and where s = 1 the plain formula. The cost where s > 1: a
+    subnormal omega, gain or result loses bits and may flush to 0."""
+    top = max(float(np.abs(net.natural_frequencies).max()), float(net.coupling_gains.max()))
+    return 2.0 ** max(0, math.frexp(top)[1] - (1000 - 3 * net.n_oscillators.bit_length()))
+
+
+def _unframe(s: float, value):
+    """value, computed in the frame s, scaled back: inf past the float range."""
+    with np.errstate(over="ignore"):
+        return s * value
 
 
 def is_connected(net: OscillatorNetwork) -> bool:

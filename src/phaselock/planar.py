@@ -152,12 +152,10 @@ def phase_locked_offset(p: PlanarParams) -> float | None:
 
 def drift_region_fixed_point(p: PlanarParams) -> float | None:
     """The companion equilibrium with |x1| > pi/2; unstable when it exists."""
-    r = p.delta_omega / p.k
-    if abs(r) > 1.0:
+    a = phase_locked_offset(p)
+    if a is None:
         return None
-    if r >= 0.0:
-        return math.pi - math.asin(r)
-    return -math.pi - math.asin(r)
+    return (math.pi if a >= 0.0 else -math.pi) - a
 
 
 @dataclass(frozen=True)
@@ -183,11 +181,12 @@ def global_sync_verdict(p: PlanarParams) -> GlobalSyncReport:
     right = np.linspace(np.pi / 2, np.pi, DRIFT_GRID + 2)[1:-1]
     div = -p.k * np.cos(np.concatenate([left, right]))
     dmin = float(div.min())
+    stable = phase_locked_offset(p)
     return GlobalSyncReport(
-        synchronizes=abs(p.delta_omega) <= p.k,
+        synchronizes=stable is not None,
         bendixson_min=dmin,
         bendixson_positive=dmin > 0.0,
-        stable_fixed_point=phase_locked_offset(p),
+        stable_fixed_point=stable,
         unstable_fixed_point=drift_region_fixed_point(p),
     )
 

@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 import pytest
+from test_network import brute_force_connected
 
 from phaselock import (
     OscillatorNetwork,
@@ -51,21 +52,6 @@ def _rk4_scalar_batch(x, k, dw, dt, n_steps, callback=None):
         if callback is not None:
             callback(x)
     return x
-
-
-def brute_force_connected(n, active_pairs):
-    adj = {v: set() for v in range(n)}
-    for i, j in active_pairs:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen, stack = {0}, [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
 
 
 def test_criterion_01_three_oscillator_experiment():

@@ -1,17 +1,26 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
 import copy
 import dataclasses
 import inspect
+import io
+import itertools
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_dynamics import forbid_incidence
 from test_tables import oracle_json
 
@@ -836,6 +845,124 @@ def test_pair_portrait_at_the_largest_gain_writes_infinite_cells_quietly(tmp_pat
     field = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)
     assert np.isinf(field[:, 3]).sum() == 12
     assert not np.isnan(field).any()
+
+
+@pytest.mark.parametrize(
+    "omega, gains, n_inf",
+    [
+        ((-1e150, 3.0, 1.7e308), (1.7e308, 0.0, 1e-300), 5),
+        ((1.7e308, -1.7e308, 0.0), (1.7e308,) * 3, 30),
+    ],
+    ids=["one-edge-past", "every-edge-past"],
+)
+def test_triple_portrait_past_the_float_range_writes_infinite_cells_quietly(
+    tmp_path, capsys, omega, gains, n_inf
+):
+    # B^T omega - B^T B K sin X passes the float range on some cells; pytest
+    # turns the overflow or inf - inf warning into an error
+    net = OscillatorNetwork(3, omega, gains)
+    path = tmp_path / "triple.json"
+    write_network(net, path)
+    argv = ["portrait", "--network", str(path), "--grid", "5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    field = np.loadtxt(tmp_path / "field.csv", delimiter=",", skiprows=1)
+    assert np.isinf(field).sum() == n_inf
+    # each written cell lies within 1e-14 of the sum of its terms' magnitudes
+    # from the exact field at the grid point (x1, x2), x3 = x2 - x1: inf only
+    # where that is past the float range, with its sign; edges (1,2), (1,3), (2,3)
+    top = Fraction(sys.float_info.max)
+    w, k = [Fraction(v) for v in omega], [Fraction(v) for v in net.coupling_diag]
+    grid = np.linspace(-np.pi, np.pi, 5)  # the written x1, x2 carry 15 digits only
+    for (a, b), cells in zip(itertools.product(grid, grid), field[:, 2:]):
+        y = [kf * Fraction(v) for kf, v in zip(k, np.sin([a, b, b - a]))]
+        terms = [[w[0], -w[1], -2 * y[0], -y[1], y[2]], [w[0], -w[2], -y[0], -2 * y[1], -y[2]]]
+        for cell, row in zip(cells, terms):
+            exact, slack = sum(row), sum(map(abs, row)) / 10**14
+            if math.isinf(cell):
+                assert (cell > 0) == (exact > 0) and abs(exact) + slack >= top
+            else:
+                assert abs(Fraction(cell) - exact) <= slack
+
+
+def test_analyze_names_a_coupling_that_rounds_to_zero_without_nan(tmp_path, capsys):
+    # gain / N = 5e-324 / 2 rounds to 0 while the positive-gain graph stays
+    # connected, so every restricted eigenvalue is 0 and their ratio 0 / 0
+    path = tmp_path / "faint.json"
+    write_network(OscillatorNetwork(2, [-2.5, 3.0], [5e-324]), path)
+    assert main(["analyze", "--network", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["equilibrium_error"] == (
+        "Jacobian rank-deficient at iterate; weak coupling: every eigenvalue is 0"
+    )
+
+
+FLOAT_RANGE_VALUES = [0.0, 1.0, -2.5, 3.0] + [
+    sign * v for v in (5e-324, 1e-300, 1e150, 1e300, 1.7e308) for sign in (1.0, -1.0)
+]
+FLOAT_RANGE_COMMANDS = [
+    ["bounds"],
+    ["analyze"],
+    ["portrait"],
+    ["simulate", "--t-end", "0.05"],
+    ["invariance", "--samples", "3", "--t-end", "0.05"],
+]
+
+
+@st.composite
+def float_range_networks(draw):
+    """N = 2..6, each frequency and |gain| from ``FLOAT_RANGE_VALUES``."""
+    n = draw(st.integers(2, 6))
+    values = st.sampled_from(FLOAT_RANGE_VALUES)
+    omega = draw(st.lists(values, min_size=n, max_size=n))
+    gains = draw(st.lists(values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return OscillatorNetwork(n, omega, np.abs(gains))
+
+
+def _float_but_nan(constant: str) -> float:
+    """``json.loads``'s reading of Infinity and -Infinity; NaN fails."""
+    assert constant != "NaN", "output holds NaN"
+    return float(constant)
+
+
+def _run_quietly(argv, out: Path):
+    """Exit code, stderr and the bytes of each output file of ``main(argv)``,
+    with every warning recorded rather than raised."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(out)])
+    assert not caught, [str(w.message) for w in caught]
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else None
+    return code, err.getvalue(), files
+
+
+@settings(max_examples=120, deadline=None)
+@given(float_range_networks())
+def test_every_command_across_the_float_range_ends_cleanly(net):
+    # exit 0, 1 or 2 with no warning; an error is one line and leaves no
+    # --out directory; no output holds NaN; a rerun writes the same bytes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.json"
+        write_network(net, path)
+        for idx, argv in enumerate(FLOAT_RANGE_COMMANDS):
+            argv = [*argv, "--network", str(path)]
+            first, again = (_run_quietly(argv, Path(tmp) / f"{idx}-{r}") for r in "ab")
+            code, err, files = first
+            assert code in (0, 1, 2), (argv, err)
+            assert again == first, argv
+            if code == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert files is None, argv
+                continue
+            for name, data in files.items():
+                text = data.decode()
+                if name.endswith(".json"):
+                    json.loads(text, parse_constant=_float_but_nan)
+                else:
+                    cells = [float(v) for line in text.splitlines()[1:] for v in line.split(",")]
+                    assert not np.isnan(cells).any(), (argv, name)
 
 
 def test_bounds_next_to_the_float_limit_are_finite_where_they_are(tmp_path, capsys):

@@ -249,6 +249,15 @@ def test_edge_transform_rejects_non_finite_inputs(theta, rates):
         edge_transform(theta, rates, _zero_network(3))
 
 
+def test_edge_transform_past_the_float_range_names_x_and_gives_v_as_inf():
+    # each input is finite, but 1e308 - (-1e308) is not
+    huge = np.array([1e308, -1e308, 0.0])
+    with pytest.raises(ValueError, match="^theta has a phase difference beyond the float range$"):
+        edge_transform(huge, np.zeros(3), _zero_network(3))
+    state = edge_transform(np.zeros(3), huge, _zero_network(3))
+    assert np.array_equal(state.v, [np.inf, 1e308, -1e308])
+
+
 @pytest.mark.parametrize(
     "x", [np.inf, -np.inf, np.nan, [0.0, np.inf], [[np.nan]]],
     ids=["inf", "-inf", "nan", "inf-entry", "nan-entry"],
