@@ -40,7 +40,7 @@ from .dynamics import (
 )
 from .errors import NoEquilibriumError, SingularJacobianError
 from .network import OscillatorNetwork, edge_count, is_connected
-from .network import _btb, _edge_diff, _frame, _laplacian, _neighbor_sum, _unframe, _vector
+from .network import _btb, _edge_diff, _laplacian, _neighbor_sum, _unframe, _vector
 
 __all__ = [
     "SEMISTABLE_CANDIDATE",
@@ -79,9 +79,9 @@ COLSPACE_TOL = 1e-9  # set H: 2-norm distance of X from the column space
 CONSISTENCY_TOL = 1e-9  # set H: max-norm mismatch of V with the identity
 
 
-def _edge_frequency_mismatch(net: OscillatorNetwork, s: float, edges=slice(None)) -> np.ndarray:
-    """|B^T omega| / s at the edge positions ``edges``, s from ``_frame``."""
-    return np.abs(_edge_diff(net, net.natural_frequencies / s, edges))
+def _edge_frequency_mismatch(net: OscillatorNetwork, edges=slice(None)) -> np.ndarray:
+    """|B^T omega| / s at the edge positions ``edges``, s the network's ``_frame``."""
+    return np.abs(_edge_diff(net, net.natural_frequencies / net._frame, edges))
 
 
 @functools.lru_cache(maxsize=1)
@@ -116,23 +116,23 @@ def sync_frequency(net: OscillatorNetwork) -> float:
     return _unframe(s, math.fsum(omega / s) / n)
 
 
-def _sufficient_gains(net: OscillatorNetwork, s: float, edges=slice(None)) -> np.ndarray:
+def _sufficient_gains(net: OscillatorNetwork, edges=slice(None)) -> np.ndarray:
     """(N/2) |omega_i - omega_j| at the edge positions ``edges``, computed
-    in the frame s from ``_frame``."""
-    return _unframe(s, 0.5 * net.n_oscillators * _edge_frequency_mismatch(net, s, edges))
+    in the network's ``_frame``."""
+    return _unframe(net._frame, 0.5 * net.n_oscillators * _edge_frequency_mismatch(net, edges))
 
 
 def sufficient_gain_bounds(net: OscillatorNetwork) -> np.ndarray:
     """Per-edge gain thresholds (N/2) |omega_i - omega_j| that make the
     half-circle box positively invariant, one per edge in edge order."""
-    return _sufficient_gains(net, _frame(net))
+    return _sufficient_gains(net)
 
 
 def uniform_critical_gain(net: OscillatorNetwork) -> float:
     """K0 = N max|omega_i - omega_j| / (2(N-1)), a necessary condition on a
     uniform gain for a phase-locked state (Jadbabaie, Motee & Barahona,
     ACC 2004; Chopra & Spong, IEEE TAC 2009), not the critical gain."""
-    n, s = net.n_oscillators, _frame(net)
+    n, s = net.n_oscillators, net._frame
     # rounded subtraction is monotone: ptp is the largest edge mismatch, bit for bit
     top = float(np.ptp(net.natural_frequencies / s))
     return _unframe(s, n * top / (2.0 * (n - 1)))
@@ -145,8 +145,8 @@ def onset_lower_bounds(net: OscillatorNetwork) -> np.ndarray:
     Rearranges |omega_i - omega_j| < (2/N) Ktilde_i
     + (1/N) sum_{j != i} |(B^T B)_{ij}| Ktilde_j for Ktilde_i, clipped at 0.
     """
-    n, s = net.n_oscillators, _frame(net)
-    excess = n * _edge_frequency_mismatch(net, s) - _neighbor_sum(net, net.coupling_gains / s)
+    n, s = net.n_oscillators, net._frame
+    excess = n * _edge_frequency_mismatch(net) - _neighbor_sum(net, net.coupling_gains / s)
     return _unframe(s, np.maximum(0.0, 0.5 * excess))
 
 
@@ -234,8 +234,9 @@ def solve_equilibrium(net: OscillatorNetwork, theta_guess=None) -> np.ndarray:
         theta = np.zeros(n)
     else:
         theta = np.array(_vector(theta_guess, n, "theta_guess"))  # Newton steps it in place
-        if np.ptp(theta) >= np.pi:
-            raise ValueError("theta_guess must have phase spread below pi")
+        with np.errstate(over="ignore"):  # a spread past the float range reads inf
+            if np.ptp(theta) >= np.pi:
+                raise ValueError("theta_guess must have phase spread below pi")
 
     scale = max(1.0, float(np.max(net.coupling_gains)))
 
@@ -369,10 +370,10 @@ def in_set_h(state: EdgeState, net: OscillatorNetwork) -> SetHMembership:
         mismatch = np.abs(v - field)
     v_consistent = bool(np.all((mismatch <= CONSISTENCY_TOL) | (v == field)))
     # per-edge slack RHS - LHS of the face-blocking gain inequality
-    n, s = net.n_oscillators, _frame(net)
+    n, s = net.n_oscillators, net._frame
     gains = net.coupling_gains / s
     rhs = (2.0 / n) * gains + _neighbor_sum(net, gains * np.sin(np.abs(x))) / n
-    slack = _unframe(s, rhs - _edge_frequency_mismatch(net, s))
+    slack = _unframe(s, rhs - _edge_frequency_mismatch(net))
     return SetHMembership(
         in_set=in_box and in_colspace and v_consistent and bool(np.all(slack >= 0.0)),
         slack=slack,
@@ -420,12 +421,12 @@ def attracting_set_check(net: OscillatorNetwork, delta: float) -> AttractingSetR
     """
     if not (np.isfinite(delta) and 0.0 < delta < np.pi):
         raise ValueError("delta must lie in (0, pi)")
-    n, s = net.n_oscillators, _frame(net)
+    n, s = net.n_oscillators, net._frame
     active = net.coupling_gains > 0.0  # before scaling, which may flush a tiny gain to 0
     gains = net.coupling_gains / s
     delta_m = float(np.ptp(gains[active])) if np.any(active) else 0.0
     lhs = float(np.sum(2.0 * gains[active] - (n - 2) * delta_m) * np.sin(abs(delta)) / n)
-    mismatch = float(np.sum(_edge_frequency_mismatch(net, s)))
+    mismatch = float(np.sum(_edge_frequency_mismatch(net)))
     rhs = mismatch + np.count_nonzero(~active) * (n - 2) * delta_m / n
     side_ok = bool(np.all(gains[active] >= (n - 2) * delta_m / 2.0))
     return AttractingSetReport(
@@ -514,9 +515,9 @@ def invariance_certificate(
     [0, pi/2)). Gains below the per-edge sufficient thresholds are flagged
     (``bounds_met``) but the certificate still runs; escapes then show up
     as a fraction below one rather than an error. The gains are compared
-    with their thresholds one block of edges at a time, all in one frame
-    (``_frame``, taken once), so the check is O(e) and forms no e-long
-    array; ``bounds_met`` reads as
+    with their thresholds one block of edges at a time, all in the
+    network's one frame (``_frame``), so the check is O(e) and forms no
+    e-long array; ``bounds_met`` reads as
     ``np.all(gains >= sufficient_gain_bounds(net) - 1e-12)`` would.
     Along integrated trajectories the frequency differences satisfy the
     consistency identity by construction, and whenever the gain bounds are
@@ -537,10 +538,9 @@ def invariance_certificate(
         raise ValueError("n_samples must be at least 1")
     n_steps = _validate_grid(horizon, dt)
     rng = np.random.default_rng(seed)
-    s = _frame(net)
     # one block of edges at a time, so the certificate forms no e-long array
     bounds_met = all(
-        np.all(net.coupling_gains[b] >= _sufficient_gains(net, s, b) - 1e-12)
+        np.all(net.coupling_gains[b] >= _sufficient_gains(net, b) - 1e-12)
         for b in _row_slices(net.n_edges, 1)
     )
     theta0s = _sample_box_states(net, n_samples, margin, rng)

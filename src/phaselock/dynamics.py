@@ -17,10 +17,10 @@ DivergenceError on a non-finite state; its consumers are loops.
 ``simulate_many`` keeps phases and fields in one store, so every step is
 held once: a batch that can stop early grows it by doubling in place and
 cuts it to the steps taken, any other batch allocates every step at once.
-It wraps the phases to (-pi, pi] once and counts sync windows after its
-loop, in the loop too only where the batch can stop early; beside
-the store it holds only block-sized temporaries. Every blocked pass, here
-and in the writers and the certificate, takes its rows from ``_row_slices``.
+It wraps the phases to (-pi, pi] once and counts sync windows in its loop
+on one schedule, a batch that cannot stop early once; beside the store it
+holds only block-sized temporaries. Every blocked pass, here and in the
+writers and the certificate, takes its rows from ``_row_slices``.
 The invariance certificate keeps only a per-sample verdict, read off the
 spread of its unwrapped phases, in O(N m) memory even as samples escape.
 """
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
-from .network import OscillatorNetwork, _btb, _edge_diff, _frame, _unframe, _vector
+from .network import OscillatorNetwork, _btb, _edge_diff, _unframe, _vector
 
 __all__ = [
     "EdgeState",
@@ -143,9 +143,9 @@ def edge_transform(theta, theta_dot_vec, net: OscillatorNetwork) -> EdgeState:
 
 def _edge_field(net: OscillatorNetwork, x: np.ndarray) -> np.ndarray:
     """First-order edge field B^T omega - B^T B K sin(X) (edge index last),
-    computed in the frame s of ``_frame``: a value beyond the float range
-    is +-inf, never NaN."""
-    s = _frame(net)
+    computed in the network's frame s (``_frame``): a value beyond the
+    float range is +-inf, never NaN."""
+    s = net._frame
     field = _edge_diff(net, net.natural_frequencies / s)
     return _unframe(s, field - _btb(net, (net.coupling_diag / s) * np.sin(x)))
 
@@ -303,11 +303,11 @@ def simulate_many(
     first step. With it, its steps start at 256 rows, double in place
     (``ndarray.resize``) when full and are cut in place to the steps taken;
     it is copied instead where a tracer's ``frame.f_locals`` holds it too.
-    The sync windows are counted after the loop; a ``stop_on_sync`` batch
-    also counts in it, over blocks of at most one window of stored steps: at
-    step 0, then only at the first step where the open run furthest from a
-    full window could complete, so a run that completed in between is still
-    dated at its own step.
+    Every batch counts its sync windows in the loop, on one schedule: first
+    at step 0 with ``stop_on_sync``, else at the last step; then at the first
+    step where the open run furthest from a full window could complete, at
+    the latest the last step. Each count covers the steps since the one
+    before, so a run that completed in between is dated at its own step.
     Raises DivergenceError naming the step if a state goes non-finite.
     """
     theta0s = np.asarray(theta0s, dtype=float)
@@ -319,12 +319,12 @@ def simulate_many(
     # a window longer than the run never completes, so capping it keeps every verdict
     window_steps = max(1, int(round(min(SYNC_WINDOW / dt, n_steps + 2))))
 
+    counted = 0  # steps counted so far
+    check = 0 if stop_on_sync else n_steps  # next step to count up to
     # steps on axis 0, so a resize keeps each step's phases and fields together
-    first = min(n_steps + 1, 256) if stop_on_sync else n_steps + 1
-    store = np.empty((first, 2, net.n_oscillators, m))
+    store = np.empty((min(max(check + 1, 256), n_steps + 1), 2, net.n_oscillators, m))
     run = np.zeros(m, dtype=int)  # consecutive small-spread steps per run
     sync_step = np.full(m, -1, dtype=int)  # step index where the window began
-    counted = check = 0  # steps counted so far; next step to count up to
 
     def resize_store(rows):  # the closure's cell is the store's only holder
         nonlocal store
@@ -340,17 +340,16 @@ def simulate_many(
                 resize_store(min(2 * k, n_steps + 1))
             store[k, 0] = theta
             store[k, 1] = td
-            if not stop_on_sync or k != check:  # counting now could not stop the batch
+            if k < check:  # counting now could not stop the batch
                 continue
+            # a field spread past the float range counts as out of sync, quietly
             _count_sync(store[counted : k + 1, 1], counted, run, sync_step, window_steps)
             counted = k + 1
             open_ = sync_step < 0
             if not open_.any():
                 break
             # the batch stops no sooner than its furthest open run can complete
-            check = k + max(1, (window_steps - run[open_]).max())
-        # a field spread past the float range counts as out of sync, quietly
-        _count_sync(store[counted : k + 1, 1], counted, run, sync_step, window_steps)
+            check = min(k + max(1, (window_steps - run[open_]).max()), n_steps)
     resize_store(k + 1)  # stopped early: keep only the steps taken
     _wrap_in_place(store[:, 0])
     times = np.arange(k + 1) * dt
@@ -378,7 +377,8 @@ def vector_field_grid(
     (v, G(x) v); for three it is the first two edge coordinates, with the
     third resolved through x3 = x2 - x1 and the first-order field
     Xdot = B^T omega - B^T B K sin(X). Larger networks have no planar
-    reduction. Every range end must be finite.
+    reduction. Every range end, range width and (N = 3) corner x2 - x1 must
+    be finite.
     """
     n = net.n_oscillators
     if n > 3:
@@ -387,6 +387,10 @@ def vector_field_grid(
         raise ValueError("grid resolution must be at least 2 per axis")
     if not np.isfinite([*x1_range, *x2_range]).all():
         raise ValueError("grid ranges must be finite")
+    with np.errstate(over="ignore"):  # a span past the float range reads inf
+        corners = np.subtract.outer(x2_range, x1_range) if n == 3 else 0.0  # x3 = x2 - x1
+        if not np.isfinite([np.ptp(x1_range), np.ptp(x2_range), *np.ravel(corners)]).all():
+            raise ValueError("grid range widths (and x3 = x2 - x1 at N = 3) must be finite")
     xs = np.linspace(x1_range[0], x1_range[1], resolution)
     ys = np.linspace(x2_range[0], x2_range[1], resolution)
     a, b_ = np.meshgrid(xs, ys, indexing="ij")

@@ -96,6 +96,14 @@ class OscillatorNetwork:
     nonnegative; ``coupling_diag`` stores gains/N, the diagonal coupling
     matrix K of the dynamics, so the gain on edge (i, j) is the raw pairwise
     constant before the 1/N normalization of the oscillator equation.
+
+    ``_frame`` stores the power of two s the edge field, gain thresholds,
+    set-H slack and attracting-set margin divide omega and the gains by: 1
+    unless their largest magnitude passes 2^(1000 - 3 bit_length(N)). No sum
+    overflows there, and ``_unframe`` scales back exactly: a value is inf
+    only past the float range, and where s = 1 the plain formula. The cost
+    where s > 1: a subnormal omega, gain or result loses bits and may flush
+    to 0.
     """
 
     n_oscillators: int
@@ -116,6 +124,8 @@ class OscillatorNetwork:
         object.__setattr__(self, "coupling_diag", _freeze(gains / n))
         object.__setattr__(self, "_ends", tuple(map(_freeze, np.triu_indices(n, 1))))
         object.__setattr__(self, "_w", _freeze(_node_matrix(self, self.coupling_diag)))
+        top = math.frexp(max(float(np.abs(omega).max()), float(gains.max())))[1]
+        object.__setattr__(self, "_frame", 2.0 ** max(0, top - (1000 - 3 * int(n).bit_length())))
 
     @property
     def n_edges(self) -> int:
@@ -187,17 +197,6 @@ def _neighbor_sum(net: OscillatorNetwork, c: np.ndarray) -> np.ndarray:
     np.add.accumulate(m[..., :-1], axis=-1, out=apart[..., 1:])
     apart[..., :-1] += np.add.accumulate(m[..., :0:-1], axis=-1)[..., ::-1]
     return apart[..., i, j] + apart[..., j, i]
-
-
-def _frame(net: OscillatorNetwork) -> float:
-    """The power of two s the edge field, gain thresholds, set-H slack and
-    attracting-set margin divide omega and the gains by: 1 unless their
-    largest magnitude passes 2^(1000 - 3 bit_length(N)). No sum overflows
-    there, and ``_unframe`` scales back exactly: a value is inf only past the
-    float range, and where s = 1 the plain formula. The cost where s > 1: a
-    subnormal omega, gain or result loses bits and may flush to 0."""
-    top = max(float(np.abs(net.natural_frequencies).max()), float(net.coupling_gains.max()))
-    return 2.0 ** max(0, math.frexp(top)[1] - (1000 - 3 * net.n_oscillators.bit_length()))
 
 
 def _unframe(s: float, value):

@@ -51,7 +51,7 @@ from phaselock.analysis import (
     _sample_box_states,
     onset_lower_bounds,
 )
-from phaselock.dynamics import _BLOCK_VALUES, SYNC_TOL, _rk4_steps
+from phaselock.dynamics import SYNC_TOL, _rk4_steps
 
 CHAIN = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
 
@@ -78,6 +78,9 @@ def test_solve_equilibrium_guess_validation():
         solve_equilibrium(CHAIN, theta_guess=np.array([0.0, 3.5, 0.0]))
     with pytest.raises(ValueError):
         solve_equilibrium(CHAIN, theta_guess=np.array([0.0, np.nan, 0.0]))
+    # a spread past the float range is inf, refused without an overflow warning
+    with pytest.raises(ValueError, match="^theta_guess must have phase spread below pi$"):
+        solve_equilibrium(CHAIN, theta_guess=np.array([1e308, 0.0, -1e308]))
 
 
 def test_solve_equilibrium_leaves_the_guess_unchanged():
@@ -399,7 +402,7 @@ def test_thresholds_over_the_whole_float_range_are_exact_where_they_can_be(net):
         assert not np.isnan(getattr(bounds, name)).any(), name
     assert not np.isnan(slack).any()
     # a value below the smallest normal double in the frame loses bits there
-    normal = np.finfo(float).tiny * phaselock.analysis._frame(net)
+    normal = np.finfo(float).tiny * net._frame
     omega = [Fraction(w) for w in net.natural_frequencies]
     mismatch = [abs(omega[i] - omega[j]) for i, j in edge_pairs(n)]
     for got, m in zip(bounds.per_edge_sufficient, mismatch):
@@ -425,8 +428,8 @@ def float_range_networks(draw):
 def test_k0_read_off_the_frequency_range_is_the_largest_edge_mismatch(net):
     # correctly rounded subtraction is monotone, so max - min is the largest
     # rounded |omega_i - omega_j| bit for bit
-    n, s = net.n_oscillators, phaselock.analysis._frame(net)
-    top = float(np.max(phaselock.analysis._edge_frequency_mismatch(net, s)))
+    n, s = net.n_oscillators, net._frame
+    top = float(np.max(phaselock.analysis._edge_frequency_mismatch(net)))
     want = phaselock.analysis._unframe(s, n * top / (2.0 * (n - 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -525,7 +528,7 @@ def test_sync_frequency_is_the_mean_over_the_whole_float_range(net):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = sync_frequency(net)
-    n, s = net.n_oscillators, Fraction(phaselock.analysis._frame(net))
+    n, s = net.n_oscillators, Fraction(net._frame)
     mean = sum(map(Fraction, net.natural_frequencies)) / n
     # one rounding of the sum and one of the division, and (absolute, in a
     # frame no larger than ``_frame``'s) the rounding of each subnormal
@@ -1265,24 +1268,6 @@ def test_certificate_checks_the_gain_bounds_without_an_edge_array(traced_peak):
     assert peak < 1e6, f"certificate peak {peak / 1e6:.2f} MB"
 
 
-def test_certificate_takes_one_frame_for_every_block(monkeypatch):
-    frames = []
-
-    def counted(net, frame=phaselock.analysis._frame):
-        frames.append(net)
-        return frame(net)
-
-    monkeypatch.setattr(phaselock.analysis, "_frame", counted)
-    n = 100
-    net = OscillatorNetwork(
-        n, np.random.default_rng(0).uniform(-0.1, 0.1, n), np.full(n * (n - 1) // 2, float(n))
-    )
-    assert net.n_edges > 2 * _BLOCK_VALUES  # three blocks of edges
-    report = invariance_certificate(net, n_samples=4, horizon=0.01, dt=0.01, seed=0)
-    assert report.bounds_met
-    assert len(frames) == 1
-
-
 _TOP = np.finfo(float).max
 
 
@@ -1597,3 +1582,44 @@ def test_critical_gain_lies_between_k0_and_the_frequency_spread(omega):
     assert k_c <= np.ptp(omega) * (1.0 + 1e-12)
     gain = k_c * (1.0 + 1e-9)
     assert np.all(onset_lower_bounds(_uniform_net(omega, gain)) <= gain)
+
+
+@st.composite
+def relabelled_networks(draw):
+    """A network (N = 2..8, omega scaled from 1e-3 to 1e3, 20-100 % of the
+    edges coupled), its relabelling by a node permutation p, in which edge
+    (a, b) takes the gain of (p[a], p[b]), and the map from each relabelled
+    edge to its original."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    coupled = rng.random(n * (n - 1) // 2) < draw(st.floats(0.2, 1.0))
+    gains = np.where(coupled, rng.uniform(0.1, 3.0, coupled.size) * n * scale, 0.0)
+    net = OscillatorNetwork(n, rng.uniform(-1.0, 1.0, n) * scale, gains)
+    p = draw(st.permutations(range(n)))
+    edges = [edge_index(n, *sorted((p[a], p[b]))) for a, b in edge_pairs(n)]
+    moved = OscillatorNetwork(n, net.natural_frequencies[p], gains[edges])
+    return net, moved, np.array(p), np.array(edges), rng
+
+
+@settings(max_examples=200, deadline=None)
+@given(relabelled_networks())
+def test_relabelling_the_nodes_relabels_every_output(case):
+    net, moved, p, edges, rng = case
+    n, omega, gains = net.n_oscillators, net.natural_frequencies, net.coupling_gains
+    # |omega_a - omega_b| and the fsum of omega do not see the order
+    assert np.array_equal(sufficient_gain_bounds(moved), sufficient_gain_bounds(net)[edges])
+    assert uniform_critical_gain(moved) == uniform_critical_gain(net)
+    assert sync_frequency(moved) == sync_frequency(net)
+    assert is_connected(moved) == is_connected(net)
+    # sums over neighbours take their terms in another order
+    scale = n * np.abs(omega).max() + gains.sum()
+    onset = onset_lower_bounds(moved) - onset_lower_bounds(net)[edges]
+    assert np.abs(onset).max() <= 1e-14 * scale
+    theta = rng.uniform(-np.pi, np.pi, n)
+    rates = theta_dot(theta[p], moved) - theta_dot(theta, net)[p]
+    assert np.abs(rates).max() <= 1e-14 * (np.abs(omega).max() + gains.max())
+    # phases of spread below pi/2 put every edge in the box
+    b, theta = incidence_matrix(n).T, rng.uniform(0.0, 1.5, n)
+    verdict = classify_stability(net, b @ theta).classification
+    assert classify_stability(moved, b @ theta[p]).classification == verdict != UNSTABLE

@@ -261,6 +261,9 @@ def test_portrait_of_an_uncoupled_pair_fails_before_writing(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+_PAST_THE_RANGE = "grid range widths (and x3 = x2 - x1 at N = 3) must be finite"
+
+
 @pytest.mark.parametrize(
     "n, extra, message",
     [
@@ -270,6 +273,12 @@ def test_portrait_of_an_uncoupled_pair_fails_before_writing(tmp_path, capsys):
         (3, ["--x2-max", "inf"], "grid ranges must be finite"),
         (2, ["--x1-max", "nan"], "grid ranges must be finite"),
         (2, ["--x2-min=-inf"], "grid ranges must be finite"),
+        (3, ["--x2-min=-1e308", "--x2-max", "1e308", "--grid", "3"], _PAST_THE_RANGE),
+        (3, ["--x1-min=-1e308", "--x1-max", "1e308", "--x2-min=-1e308", "--x2-max", "1e308",
+             "--grid", "3"], _PAST_THE_RANGE),
+        (3, ["--x1-min=-1e308", "--x1-max", "0", "--x2-min=0", "--x2-max", "1e308"],
+         _PAST_THE_RANGE),
+        (2, ["--x2-min=1.7e308", "--x2-max=-1.7e308"], _PAST_THE_RANGE),
     ],
 )
 def test_portrait_rejected_by_the_grid_leaves_no_out_directory(
@@ -938,15 +947,29 @@ def _run_quietly(argv, out: Path):
     return code, err.getvalue(), files
 
 
+def _float_range_options(data, n: int) -> list[list[str]]:
+    """The commands of options that carry values, each value drawn from
+    ``FLOAT_RANGE_VALUES``: an N-entry guess, the four portrait range ends
+    and the attracting-set angle."""
+    value = st.sampled_from(FLOAT_RANGE_VALUES)
+    ends = ("--x1-min", "--x1-max", "--x2-min", "--x2-max")
+    return [
+        ["analyze", "--guess=" + ",".join(repr(data.draw(value)) for _ in range(n))],
+        ["portrait", *(f"{end}={data.draw(value)!r}" for end in ends)],
+        ["bounds", f"--delta={data.draw(value)!r}"],
+    ]
+
+
 @settings(max_examples=120, deadline=None)
-@given(float_range_networks())
-def test_every_command_across_the_float_range_ends_cleanly(net):
+@given(float_range_networks(), st.data())
+def test_every_command_across_the_float_range_ends_cleanly(net, data):
     # exit 0, 1 or 2 with no warning; an error is one line and leaves no
     # --out directory; no output holds NaN; a rerun writes the same bytes
+    commands = FLOAT_RANGE_COMMANDS + _float_range_options(data, net.n_oscillators)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "net.json"
         write_network(net, path)
-        for idx, argv in enumerate(FLOAT_RANGE_COMMANDS):
+        for idx, argv in enumerate(commands):
             argv = [*argv, "--network", str(path)]
             first, again = (_run_quietly(argv, Path(tmp) / f"{idx}-{r}") for r in "ab")
             code, err, files = first

@@ -687,6 +687,39 @@ def test_early_stop_counts_sync_windows_in_blocks(monkeypatch):
     assert len(calls) <= 2 * traj.n_steps / window_steps + 2
 
 
+def test_every_batch_counts_its_sync_windows_on_one_schedule(monkeypatch):
+    # each count covers the steps since the one before, none is empty, and
+    # together they cover every stored step; a batch that cannot stop early
+    # counts once, over all its rows
+    from phaselock.experiments import FIVE_NETWORK_THETA0, five_network_network
+
+    calls = []
+    count = phaselock.dynamics._count_sync
+
+    def recording(dots, start, *args):
+        calls.append((start, len(dots)))
+        return count(dots, start, *args)
+
+    def counted(batch):
+        rows = [r for _, r in calls]
+        assert [start for start, _ in calls] == [0, *np.cumsum(rows)[:-1]]
+        assert min(rows) > 0 and sum(rows) == batch[0].n_steps + 1
+        return rows
+
+    monkeypatch.setattr(phaselock.dynamics, "_count_sync", recording)
+    net, theta0 = five_network_network(), np.array(FIVE_NETWORK_THETA0)[:, None]
+    assert counted(simulate_many(net, np.hstack([theta0, -theta0]), 5.0, 0.005)) == [1001]
+    calls.clear()
+    stopped = simulate_many(net, theta0, 100.0, 0.005, stop_on_sync=True)
+    assert stopped[0].n_steps == 3294 and len(counted(stopped)) > 1
+    # uncoupled oscillators with distinct frequencies never sync: the stop
+    # batch runs to the horizon, and its last count ends there
+    calls.clear()
+    uncoupled = OscillatorNetwork(3, [0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+    never = simulate_many(uncoupled, np.zeros((3, 2)), 3.0, 0.01, stop_on_sync=True)
+    assert never[0].synchronized_at is None and len(counted(never)) > 1
+
+
 def test_early_stop_evaluates_the_field_only_for_the_steps_taken(monkeypatch):
     net = OscillatorNetwork(3, [1.0, 2.0, 3.0], [9.0, 6.0, 0.0])
     calls = []
@@ -923,3 +956,27 @@ def test_vector_field_grid_rejects_a_non_finite_range(n, bad, end):
     net = OscillatorNetwork(n, np.arange(n, dtype=float), np.ones(n * (n - 1) // 2))
     with pytest.raises(ValueError, match="^grid ranges must be finite$"):
         vector_field_grid(net, x1_range=ends[:2], x2_range=ends[2:], resolution=3)
+
+
+@pytest.mark.parametrize(
+    "n, x1_range, x2_range",
+    [
+        (3, (-1.0, 1.0), (-1e308, 1e308)),
+        (3, (-1e308, 1e308), (-1e308, 1e308)),
+        (2, (0.0, 0.0), (1.7e308, -1.7e308)),
+        (3, (-1e308, 0.0), (0.0, 1e308)),  # each width finite, x3 = x2 - x1 not
+    ],
+)
+def test_vector_field_grid_rejects_a_range_past_the_float_range(n, x1_range, x2_range):
+    # np.linspace took the width as inf and wrote NaN grid points and cells
+    net = OscillatorNetwork(n, np.arange(n, dtype=float), np.ones(n * (n - 1) // 2))
+    message = r"^grid range widths \(and x3 = x2 - x1 at N = 3\) must be finite$"
+    with pytest.raises(ValueError, match=message):
+        vector_field_grid(net, x1_range=x1_range, x2_range=x2_range, resolution=3)
+
+
+def test_pair_grid_takes_x1_and_x2_as_separate_axes():
+    # at N = 2 the plane is (x, v): x2 - x1 past the float range is no cell
+    net = OscillatorNetwork(2, [1.0, 0.0], [1.0])
+    rows = vector_field_grid(net, x1_range=(-1e308, 0.0), x2_range=(0.0, 1e308), resolution=3)
+    assert np.isfinite(rows[:, :3]).all() and not np.isnan(rows).any()
